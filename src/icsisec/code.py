@@ -1,9 +1,9 @@
 """Linear [n, k] block codes over a finite field.
 
-Distances and weight spectra come from explicit codeword enumeration behind
-a q^k <= 2^24 guard; duals are nullspace bases; the orthogonal-array tuple
-count and the systematic Reed-Solomon construction support the security
-analysis layered on top.
+Distances, weight spectra and the first codeword of each weight come from
+explicit codeword enumeration behind a q^k <= 2^24 guard; duals are
+nullspace bases; the orthogonal-array tuple count and the systematic
+Reed-Solomon construction support the security analysis layered on top.
 
 A LinearCode normalizes whatever spanning rows it is given to the reduced
 row echelon basis, so two equal row spaces always produce identical
@@ -155,6 +155,25 @@ class LinearCode:
         for cw in self.codewords():
             counts[sum(1 for v in cw if v)] += 1
         return tuple(counts)
+
+    @cached_property
+    def first_of_weight(self) -> dict[int, tuple[int, ...]]:
+        """The first codeword of each nonzero weight present, in codewords() order.
+
+        One walk that stops as soon as every weight with a nonzero count in
+        weight_distribution has been seen.
+        """
+        n = self.length
+        missing = sum(1 for c in self.weight_distribution[1:] if c)
+        firsts: dict[int, tuple[int, ...]] = {}
+        for cw in self.codewords():
+            w = n - cw.count(0)
+            if w and w not in firsts:
+                firsts[w] = cw
+                missing -= 1
+                if not missing:
+                    break
+        return firsts
 
     @cached_property
     def min_distance(self) -> int:

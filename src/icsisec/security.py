@@ -5,20 +5,25 @@ set of strength t, observes every broadcast symbol, and wants information
 about a disjoint block of messages. Because the broadcast is linear, the
 adversary learns nothing about a block exactly when no codeword vanishes
 outside its known set while touching the block; that is a rank condition
-on generator columns and is the production decision path here.
+on generator columns (has_no_information).
 
-The same question is also answered by brute force: enumerate every message
-vector consistent with the observation and tally the conditional
-distribution of the block. The two routes are implemented independently
-(conditional_block_entropy never looks at ranks) so each can be checked
-against the other, and all decisions are made on exact integer counts,
-never on floating-point entropy values.
+The per-strength verdicts of a report come in closed form from the code's
+minimum distance d and dual distance d_dual, which is the production path:
+the largest block size hidden from every strength-t adversary is
+max(0, d - 1 - t), and every index is recovered exactly from strength
+n - d_dual + 1 on (both bounds are tight for linear codes). Two independent
+slow routes answer the same questions and serve as cross-checks: the rank
+sweeps (block_security_level, and the known-set scan whose first hit is
+also an exhaustive report's counterexample), and a brute-force oracle that
+enumerates every message vector consistent with the observation and
+tallies the conditional distribution of the block
+(conditional_block_entropy never looks at ranks). All decisions are made
+on exact integer counts, never on floating-point entropy values.
 
-On top of the per-query test sit the aggregate results: measured and
-distance-guaranteed block-security levels per strength, constructive
-witnesses that break weak security one strength past the guarantee, the
-candidate-list attack with its exact q^(n-t-k) size, and the full-recovery
-attack that sets in at strength n - d_dual + 1.
+On top of the verdicts sit the constructive results: witnesses that break
+weak security one strength past the guarantee, the candidate-list attack
+with its exact q^(n-t-k) size, and the full-recovery attack that sets in at
+strength n - d_dual + 1.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .algebra import (
     unit_vector,
 )
 from .code import LinearCode, TooLargeToEnumerateError, iterate_span
-from .rng import Rng
 
 EXHAUSTIVE_SWEEP_LIMIT = 14
 ORACLE_SPACE_LIMIT = 1 << 20
@@ -56,6 +60,11 @@ class InconsistentObservationError(SecurityError):
 
 class ListTooLargeError(SecurityError):
     """The candidate list would exceed the enumeration limit."""
+
+
+class TheoremViolationError(SecurityError):
+    """A direct check contradicts a verdict the distance theorems imply;
+    this is a bug in the library, never a property of the input."""
 
 
 class RankDeficientError(SecurityError):
@@ -303,26 +312,24 @@ def weak_security_witness(code: LinearCode, strength: int) -> Optional[WeakSecur
     n = code.length
     if not 0 <= strength <= n - 1:
         raise ValueError(f"strength must be in [0, {n - 1}], got {strength}")
+    cw = code.first_of_weight.get(strength + 1)
+    if cw is None:
+        return None
     field = code.field
-    w = strength + 1
-    for cw in code.codewords():
-        if sum(1 for v in cw if v) != w:
-            continue
-        support = [j + 1 for j, v in enumerate(cw) if v]
-        exposed = support[-1]
-        scale = field.inv(cw[exposed - 1])
-        normalized = tuple(field.mul(scale, v) for v in cw)
-        u = Vector(field, normalized) - unit_vector(exposed, n, field)
-        coefficients = Vector(field, tuple(normalized[p - 1] for p in code.pivot_columns))
-        witness = WeakSecurityWitness(
-            known=frozenset(support[:-1]),
-            exposed=exposed,
-            combination=u,
-            coefficients=coefficients,
-        )
-        assert code.contains(u + unit_vector(exposed, n, field))
-        return witness
-    return None
+    support = [j + 1 for j, v in enumerate(cw) if v]
+    exposed = support[-1]
+    scale = field.inv(cw[exposed - 1])
+    normalized = tuple(field.mul(scale, v) for v in cw)
+    if not code.contains(Vector(field, normalized)):
+        raise TheoremViolationError(f"weight-{strength + 1} witness is not a codeword")
+    u = Vector(field, normalized) - unit_vector(exposed, n, field)
+    coefficients = Vector(field, tuple(normalized[p - 1] for p in code.pivot_columns))
+    return WeakSecurityWitness(
+        known=frozenset(support[:-1]),
+        exposed=exposed,
+        combination=u,
+        coefficients=coefficients,
+    )
 
 
 def _checked_view(code: LinearCode, view: AdversaryView) -> dict[int, int]:
@@ -485,32 +492,19 @@ def _complete_insecurity_exhaustive(
     return True, None
 
 
-def _sampled_level(code: LinearCode, strength: int, rng: Rng, samples: int) -> int:
-    n = code.length
-    universe = tuple(range(1, n + 1))
-    full = frozenset(universe)
-    for b in range(1, n - strength + 1):
-        for _ in range(samples):
-            known = frozenset(rng.subset(universe, strength))
-            rest_pool = tuple(sorted(full - known))
-            block = frozenset(rng.subset(rest_pool, b))
-            rest = full - known - block
-            if code.rank_of_columns(rest) != code.rank_of_columns(rest | block):
-                return b - 1
-    return n - strength
+def _dual_counterexample(code: LinearCode, strength: int) -> RecoveryCounterexample:
+    """A strength-t known set that leaves an index hidden, for t < n - d_dual + 1.
 
-
-def _sampled_complete(
-    code: LinearCode, strength: int, rng: Rng, samples: int
-) -> tuple[bool, Optional[RecoveryCounterexample]]:
-    n = code.length
-    universe = tuple(range(1, n + 1))
-    for _ in range(samples):
-        known = frozenset(rng.subset(universe, strength))
-        for i in sorted(set(universe) - known):
-            if code.confined_combination(known, i) is None:
-                return False, RecoveryCounterexample(known=known, resisted=i)
-    return True, None
+    The dual's first minimum-weight codeword h is a dependency among the
+    columns on supp(h), so its last support index stays hidden from anyone
+    who knows nothing on supp(h). The known set is the t highest indices
+    outside supp(h).
+    """
+    h = code.dual.first_of_weight[code.dual_distance]
+    support = [j + 1 for j, v in enumerate(h) if v]
+    outside = [j for j in range(1, code.length + 1) if h[j - 1] == 0]
+    known = frozenset(outside[len(outside) - strength:])
+    return RecoveryCounterexample(known=known, resisted=support[-1])
 
 
 def security_report(
@@ -518,22 +512,24 @@ def security_report(
     *,
     sampled: bool = False,
     seed: int = 0,
-    samples: int = 400,
     sweep_limit: int = EXHAUSTIVE_SWEEP_LIMIT,
 ) -> SecurityReport:
     """The full security ladder of a code, one verdict per strength.
 
-    Exhaustive for n <= sweep_limit. Beyond that an exhaustive report is
-    refused unless sampled=True, in which case verdicts rest on seeded
-    random sweeps and the report is marked "sampled" (measured levels are
-    then upper estimates, and witnesses are only searched when codeword
-    enumeration fits the guard).
+    Verdicts are exact in both modes and follow from (d, d_dual): the
+    measured block level at strength t is max(0, d - 1 - t), and complete
+    insecurity holds exactly from t = n - d_dual + 1. Below that threshold
+    each strength carries a counterexample, checked by one linear solve.
+    For n <= sweep_limit the report is "exhaustive" and the counterexample
+    is the first hit of the known-set scan. Beyond that an exhaustive report
+    is refused unless sampled=True; the report is then marked "sampled" and
+    the counterexample is built from the dual's first minimum-weight
+    codeword. The seed is recorded but changes no verdict.
     """
     n = code.length
     d = code.min_distance
     dual_distance = code.dual_distance
     threshold = n - dual_distance + 1
-    guarantees = distance_guarantees(code)
     if n > sweep_limit:
         if not sampled:
             raise TooLargeToEnumerateError(
@@ -542,34 +538,36 @@ def security_report(
         mode = "sampled"
     else:
         mode = "exhaustive"
-    rng = Rng(seed)
     verdicts = []
     for t in range(n):
-        if mode == "exhaustive":
-            measured = block_security_level(code, t)
-            complete, counterexample = _complete_insecurity_exhaustive(code, t)
-        else:
-            measured = _sampled_level(code, t, rng, samples)
-            complete, counterexample = _sampled_complete(code, t, rng, samples)
-        try:
-            witness = weak_security_witness(code, t)
-        except TooLargeToEnumerateError:
-            witness = None
+        level = max(0, d - 1 - t)
+        complete = t >= threshold
+        counterexample = None
+        if not complete:
+            if mode == "exhaustive":
+                contradicted, counterexample = _complete_insecurity_exhaustive(code, t)
+            else:
+                counterexample = _dual_counterexample(code, t)
+                contradicted = (
+                    code.confined_combination(counterexample.known, counterexample.resisted)
+                    is not None
+                )
+            if contradicted:
+                raise TheoremViolationError(
+                    f"strength {t} is below n - d_dual + 1 = {threshold}, "
+                    "yet no hidden index was found"
+                )
         verdicts.append(
             StrengthVerdict(
                 strength=t,
-                guaranteed_block_level=guarantees.get(t, 0),
-                measured_block_level=measured,
-                weakly_secure=measured >= 1,
-                weak_witness=witness,
+                guaranteed_block_level=level,
+                measured_block_level=level,
+                weakly_secure=level >= 1,
+                weak_witness=weak_security_witness(code, t),
                 completely_insecure=complete,
                 complete_counterexample=counterexample,
             )
         )
-        if mode == "exhaustive":
-            assert measured >= guarantees.get(t, 0)
-            if t >= threshold:
-                assert complete
     return SecurityReport(
         length=n,
         dimension=code.dimension,

@@ -19,13 +19,13 @@ ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, interpreter_flags=()):
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", str(ROOT / "src"))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "icsisec", *args],
+        [sys.executable, *interpreter_flags, "-m", "icsisec", *args],
         capture_output=True,
         text=True,
         cwd=str(ROOT),
@@ -43,6 +43,14 @@ class TestAnalyze:
     @pytest.mark.parametrize("name", ["hamming7", "hamming7_zero", "repetition3", "rs7_3"])
     def test_matches_golden(self, name):
         result = run_cli("analyze", str(INSTANCES / f"{name}.json"))
+        assert result.returncode == 0, result.stderr
+        golden = (INSTANCES / "golden" / f"{name}.report.json").read_text(encoding="utf-8")
+        assert result.stdout == golden
+
+    @pytest.mark.parametrize("name", ["hamming7", "hamming7_zero", "repetition3", "rs7_3"])
+    def test_matches_golden_without_asserts(self, name):
+        # -O strips assert statements; no verdict may depend on one.
+        result = run_cli("analyze", str(INSTANCES / f"{name}.json"), interpreter_flags=("-O",))
         assert result.returncode == 0, result.stderr
         golden = (INSTANCES / "golden" / f"{name}.report.json").read_text(encoding="utf-8")
         assert result.stdout == golden
@@ -87,6 +95,25 @@ class TestAnalyze:
         report = json.loads(sampled.stdout)
         assert report["mode"] == "sampled"
         assert report["seed"] == 7
+
+    def test_sample_does_not_lift_codeword_guard(self, tmp_path):
+        # [16, 10] over F7: q^k = 7^10 codewords exceed the 2^24 guard, which
+        # --sample does not lift because d and d_dual still need them.
+        path = write_doc(
+            tmp_path,
+            "f7.json",
+            {
+                "field": {"p": 7},
+                "n": 16,
+                "receivers": [
+                    {"side_info": list(range(11, 17)), "demand": i} for i in range(1, 11)
+                ],
+            },
+        )
+        result = run_cli("analyze", path, "--sample")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "7^10" in result.stderr
 
     def test_missing_file_is_exit_1(self):
         result = run_cli("analyze", str(INSTANCES / "absent.json"))

@@ -7,6 +7,7 @@ small sweep, independent of the verify module's suites.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from icsisec.security import (
     ListTooLargeError,
     RankDeficientError,
     SecurityQuery,
+    _complete_insecurity_exhaustive,
     block_security_level,
     complete_insecurity_attack,
     conditional_block_entropy,
@@ -28,6 +30,7 @@ from icsisec.security import (
     security_report,
     weak_security_witness,
 )
+from icsisec.verify import builtin_corpus
 
 F2 = Field(2)
 F3 = Field(3)
@@ -332,7 +335,7 @@ class TestSecurityReport:
         wide = LinearCode(Matrix(F2, (tuple([1] * 15),)))
         with pytest.raises(TooLargeToEnumerateError):
             security_report(wide)
-        report = security_report(wide, sampled=True, seed=7, samples=40)
+        report = security_report(wide, sampled=True, seed=7)
         assert report.mode == "sampled"
         assert report.seed == 7
         assert report.insecurity_threshold == 14
@@ -344,3 +347,60 @@ class TestSecurityReport:
             report = security_report(code)
             levels = [v.measured_block_level for v in report.strengths]
             assert levels == sorted(levels, reverse=True)
+
+
+class TestClosedFormLadder:
+    """The report's closed-form verdicts against the slow routes they replace."""
+
+    def test_matches_rank_sweep_and_scan_on_corpus(self):
+        for entry in builtin_corpus(0):
+            code = entry.code
+            report = security_report(code)
+            for v in report.strengths:
+                t = v.strength
+                complete, counterexample = _complete_insecurity_exhaustive(code, t)
+                assert v.measured_block_level == block_security_level(code, t), (entry.name, t)
+                assert v.completely_insecure == complete, (entry.name, t)
+                assert v.complete_counterexample == counterexample, (entry.name, t)
+
+    def test_sampled_counterexamples_hide_their_index(self):
+        rng = Rng(3)
+        for field in (F2, F3):
+            for _ in range(5):
+                n = 15 + rng.below(6)
+                rows = tuple(tuple(rng.below(field.q) for _ in range(n)) for _ in range(n // 2))
+                code = LinearCode(Matrix(field, rows))
+                report = security_report(code, sampled=True)
+                assert report.mode == "sampled"
+                for v in report.strengths:
+                    t = v.strength
+                    cex = v.complete_counterexample
+                    assert v.completely_insecure == (t >= report.insecurity_threshold)
+                    assert (cex is None) == v.completely_insecure
+                    if cex is not None:
+                        assert len(cex.known) == t and cex.resisted not in cex.known
+                        assert code.confined_combination(cex.known, cex.resisted) is None
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((1,) * 14,),
+            tuple(tuple(1 if j in (i, 13) else 0 for j in range(14)) for i in range(13)),
+        ],
+        ids=["repetition14_1", "even14_13"],
+    )
+    def test_stress_codes_run_no_sweeps(self, monkeypatch, rows):
+        calls = Counter()
+        for name in ("rank_of_columns", "confined_combination"):
+            original = getattr(LinearCode, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(LinearCode, name, counted)
+        code = LinearCode(Matrix(F2, rows))
+        report = security_report(code)
+        assert report.mode == "exhaustive"
+        assert calls["rank_of_columns"] == 0
+        assert calls["confined_combination"] <= 2 * code.length
