@@ -18,9 +18,8 @@ pure functions, so sharing objects between workers is safe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 MAX_FIELD_ORDER = 65536
 
@@ -261,9 +260,6 @@ class Field:
         assert self._exp is not None and self._log is not None
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def power(self, a: int, e: int) -> int:
         """a raised to a nonnegative integer exponent, with 0^0 = 1."""
         if e < 0:
@@ -280,21 +276,10 @@ class Field:
             raise ValueError(f"{value!r} is not a canonical element of {self!r}")
         return value
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
-
-    def elements(self) -> range:
-        """All canonical values, in canonical integer order."""
-        return range(self.q)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Field):
             return NotImplemented
         return self.p == other.p and self.m == other.m and self.poly == other.poly
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self) -> int:
         return hash((self.p, self.m, self.poly))
@@ -303,46 +288,6 @@ class Field:
         if self.m == 1:
             return f"Field({self.p})"
         return f"Field({self.p}, {self.m})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single field value bound to its field; cross-field arithmetic is rejected."""
-
-    field: Field
-    value: int
-
-    def __post_init__(self) -> None:
-        self.field.check_value(self.value)
-
-    def _peer(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError("operands live in different fields")
-        return other
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        other = self._peer(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        other = self._peer(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        other = self._peer(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        other = self._peer(other)
-        return FieldElement(self.field, self.field.div(self.value, other.value))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
 
 
 @dataclass(frozen=True)
@@ -383,10 +328,6 @@ class Vector:
         sub = self.field.sub
         return Vector(self.field, tuple(sub(a, b) for a, b in zip(self.entries, other.entries)))
 
-    def __neg__(self) -> "Vector":
-        neg = self.field.neg
-        return Vector(self.field, tuple(neg(a) for a in self.entries))
-
     def scaled(self, coefficient: int) -> "Vector":
         self.field.check_value(coefficient)
         mul = self.field.mul
@@ -400,28 +341,15 @@ class Vector:
             acc = add(acc, mul(a, b))
         return acc
 
-    @property
-    def weight(self) -> int:
-        """Number of nonzero entries (Hamming weight)."""
-        return sum(1 for v in self.entries if v)
-
     def support(self) -> frozenset[int]:
         """1-based positions of the nonzero entries."""
         return frozenset(i + 1 for i, v in enumerate(self.entries) if v)
-
-    def distance(self, other: "Vector") -> int:
-        other = self._peer(other)
-        return sum(1 for a, b in zip(self.entries, other.entries) if a != b)
 
     def at(self, position: int) -> int:
         """Entry at a 1-based position."""
         if not 1 <= position <= len(self.entries):
             raise IndexOutOfRangeError(f"position {position} outside [1, {len(self.entries)}]")
         return self.entries[position - 1]
-
-    def take(self, positions: Iterable[int]) -> tuple[int, ...]:
-        """Entries at the given 1-based positions, in ascending position order."""
-        return tuple(self.at(i) for i in sorted(set(positions)))
 
 
 def unit_vector(position: int, length: int, field: Field) -> Vector:
@@ -451,10 +379,6 @@ class Matrix:
                 self.field.check_value(v)
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
     def from_rows(cls, rows: Sequence[Vector]) -> "Matrix":
         if not rows:
             raise ValueError("need at least one row vector")
@@ -471,29 +395,6 @@ class Matrix:
     @property
     def ncols(self) -> int:
         return len(self.entries[0])
-
-    def row(self, i: int) -> Vector:
-        if not 1 <= i <= self.nrows:
-            raise IndexOutOfRangeError(f"row {i} outside [1, {self.nrows}]")
-        return Vector(self.field, self.entries[i - 1])
-
-    def column(self, j: int) -> Vector:
-        if not 1 <= j <= self.ncols:
-            raise IndexOutOfRangeError(f"column {j} outside [1, {self.ncols}]")
-        return Vector(self.field, tuple(r[j - 1] for r in self.entries))
-
-    def columns(self, positions: Iterable[int]) -> "Matrix":
-        """Submatrix keeping the given 1-based columns, in ascending order."""
-        cols = sorted(set(positions))
-        if not cols:
-            raise ValueError("need at least one column position")
-        for j in cols:
-            if not 1 <= j <= self.ncols:
-                raise IndexOutOfRangeError(f"column {j} outside [1, {self.ncols}]")
-        return Matrix(self.field, tuple(tuple(r[j - 1] for j in cols) for r in self.entries))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.entries)))
 
     def times_col(self, x: Vector) -> Vector:
         """M x^T as a vector of length nrows."""
@@ -572,21 +473,6 @@ def _rank_raw(field: Field, rows: Sequence[Sequence[int]]) -> int:
 
 
 @dataclass(frozen=True)
-class RrefResult:
-    """Reduced row echelon form with rank and 1-based pivot columns."""
-
-    matrix: Matrix
-    rank: int
-    pivots: tuple[int, ...]
-
-
-def rref(matrix: Matrix) -> RrefResult:
-    rows, pivots = _rref_raw(matrix.field, matrix.entries)
-    reduced = Matrix(matrix.field, tuple(tuple(r) for r in rows))
-    return RrefResult(reduced, len(pivots), tuple(c + 1 for c in pivots))
-
-
-@dataclass(frozen=True)
 class LinearSolution:
     """One solution of A y^T = b^T together with a basis of the kernel of A.
 
@@ -597,10 +483,6 @@ class LinearSolution:
 
     particular: Vector
     kernel: tuple[Vector, ...]
-
-    @property
-    def count(self) -> int:
-        return self.particular.field.q ** len(self.kernel)
 
 
 def solve(matrix: Matrix, rhs: Vector) -> LinearSolution:
@@ -629,18 +511,3 @@ def solve(matrix: Matrix, rhs: Vector) -> LinearSolution:
             vec[c] = field.neg(reduced[r][free])
         kernel.append(Vector(field, tuple(vec)))
     return LinearSolution(Vector(field, tuple(particular)), tuple(kernel))
-
-
-def column_span_contains(columns: Matrix, vector: Vector) -> bool:
-    """Whether the vector lies in the span of the matrix columns.
-
-    Decided by comparing rank(columns) with rank(columns | vector).
-    """
-    if vector.field != columns.field:
-        raise FieldMismatchError("vector lives in a different field")
-    if len(vector) != columns.nrows:
-        raise DimensionMismatchError(f"expected length {columns.nrows}, got {len(vector)}")
-    field = columns.field
-    base = _rank_raw(field, columns.entries)
-    augmented = [list(row) + [v] for row, v in zip(columns.entries, vector.entries)]
-    return base == _rank_raw(field, augmented)

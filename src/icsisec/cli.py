@@ -152,8 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="security report for an instance file")
     p.add_argument("instance")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for sampled mode")
-    p.add_argument("--sample", action="store_true", help="allow sampled sweeps past the exhaustive guard")
+    p.add_argument("--seed", type=int, default=0, help="recorded in the report; changes no verdict")
+    p.add_argument(
+        "--sample", action="store_true",
+        help="lift only the n > 14 guard; the report is marked sampled and its verdicts stay exact",
+    )
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("encode", help="broadcast for one message vector")

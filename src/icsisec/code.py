@@ -149,31 +149,28 @@ class LinearCode:
         return iterate_span(self.field, self.generator.entries)
 
     @cached_property
-    def weight_distribution(self) -> tuple[int, ...]:
-        """counts[w] = number of codewords of Hamming weight w, w = 0..n."""
-        counts = [0] * (self.length + 1)
-        for cw in self.codewords():
-            counts[sum(1 for v in cw if v)] += 1
-        return tuple(counts)
-
-    @cached_property
-    def first_of_weight(self) -> dict[int, tuple[int, ...]]:
-        """The first codeword of each nonzero weight present, in codewords() order.
-
-        One walk that stops as soon as every weight with a nonzero count in
-        weight_distribution has been seen.
-        """
+    def _spectrum(self) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+        # One walk over codewords() serves both weight_distribution and
+        # first_of_weight.
         n = self.length
-        missing = sum(1 for c in self.weight_distribution[1:] if c)
+        counts = [0] * (n + 1)
         firsts: dict[int, tuple[int, ...]] = {}
         for cw in self.codewords():
             w = n - cw.count(0)
-            if w and w not in firsts:
+            if w and not counts[w]:
                 firsts[w] = cw
-                missing -= 1
-                if not missing:
-                    break
-        return firsts
+            counts[w] += 1
+        return tuple(counts), firsts
+
+    @property
+    def weight_distribution(self) -> tuple[int, ...]:
+        """counts[w] = number of codewords of Hamming weight w, w = 0..n."""
+        return self._spectrum[0]
+
+    @property
+    def first_of_weight(self) -> dict[int, tuple[int, ...]]:
+        """The first codeword of each nonzero weight present, in codewords() order."""
+        return self._spectrum[1]
 
     @cached_property
     def min_distance(self) -> int:

@@ -18,8 +18,8 @@ Instance document shape:
       "choice_policy": "indicator"          // or "zero", or a list of m vectors
     }
 
-Report documents round-trip SecurityReport plus the generator matrix
-losslessly; dumps_report fixes the byte-level form (sorted two-space
+Report documents carry a SecurityReport plus the generator matrix;
+dumps_report fixes the byte-level form (stable key order, two-space
 indent, trailing newline) that golden files and the determinism contract
 rely on.
 """
@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .algebra import AlgebraError, Field, Matrix, Vector
+from .algebra import AlgebraError, Field, Vector
 from .code import LinearCode
 from .icsi import (
     IcsiInstance,
@@ -42,7 +42,6 @@ from .icsi import (
 from .security import (
     RecoveryCounterexample,
     SecurityReport,
-    StrengthVerdict,
     WeakSecurityWitness,
 )
 
@@ -235,69 +234,6 @@ def report_to_dict(report: SecurityReport, code: LinearCode) -> dict:
             for v in report.strengths
         ],
     }
-
-
-def _field_from_dict(obj: dict) -> Field:
-    _require_keys(obj, {"p", "m", "poly"}, {"p", "m", "poly"}, "report 'field'")
-    poly = obj["poly"]
-    return Field(obj["p"], obj["m"], poly=tuple(poly) if poly is not None else None)
-
-
-def report_from_dict(doc: dict) -> tuple[SecurityReport, LinearCode]:
-    """Rebuild a report and its code from a document; inverse of
-    report_to_dict for well-formed input."""
-    top = {
-        "tool_version", "seed", "mode", "field", "code",
-        "insecure_from", "generator", "strengths",
-    }
-    _require_keys(doc, top, top, "report")
-    field = _field_from_dict(doc["field"])
-    generator = Matrix(field, tuple(tuple(v for v in row) for row in doc["generator"]))
-    code = LinearCode(generator)
-    params = doc["code"]
-    _require_keys(params, {"n", "k", "d", "d_dual"}, {"n", "k", "d", "d_dual"}, "report 'code'")
-    verdicts = []
-    for entry in doc["strengths"]:
-        keys = {
-            "t", "guaranteed_block_level", "measured_block_level", "weakly_secure",
-            "weak_witness", "completely_insecure", "counterexample",
-        }
-        _require_keys(entry, keys, keys, "report strength entry")
-        wd = entry["weak_witness"]
-        witness = None
-        if wd is not None:
-            witness = WeakSecurityWitness(
-                known=frozenset(wd["known"]),
-                exposed=wd["exposed"],
-                combination=Vector(field, tuple(wd["combination"])),
-                coefficients=Vector(field, tuple(wd["coefficients"])),
-            )
-        cd = entry["counterexample"]
-        cex = None
-        if cd is not None:
-            cex = RecoveryCounterexample(known=frozenset(cd["known"]), resisted=cd["resisted"])
-        verdicts.append(
-            StrengthVerdict(
-                strength=entry["t"],
-                guaranteed_block_level=entry["guaranteed_block_level"],
-                measured_block_level=entry["measured_block_level"],
-                weakly_secure=entry["weakly_secure"],
-                weak_witness=witness,
-                completely_insecure=entry["completely_insecure"],
-                complete_counterexample=cex,
-            )
-        )
-    report = SecurityReport(
-        length=params["n"],
-        dimension=params["k"],
-        min_distance=params["d"],
-        dual_distance=params["d_dual"],
-        insecurity_threshold=doc["insecure_from"],
-        mode=doc["mode"],
-        seed=doc["seed"],
-        strengths=tuple(verdicts),
-    )
-    return report, code
 
 
 def dumps_report(report: SecurityReport, code: LinearCode) -> str:

@@ -8,8 +8,7 @@ field element per generator row, and every receiver can recover its demand
 from the broadcast and its own side information alone.
 
 Receivers that already hold their demand contribute no generator row.
-Multi-demand receivers and packetized (vector) solutions are normalized to
-this single-demand form up front.
+Multi-demand receivers are normalized to this single-demand form up front.
 """
 
 from __future__ import annotations
@@ -141,30 +140,6 @@ def split_multi_request(
     return IcsiInstance(field, n, tuple(flat_sides), tuple(flat_demands))
 
 
-def vectorize_instance(instance: IcsiInstance, packets_per_message: int) -> IcsiInstance:
-    """Expand each message into a block of packets.
-
-    Message i becomes packets (i-1)*rho + 1 .. i*rho; side information
-    expands blockwise and each receiver demands all packets of its original
-    message, which is then normalized by split_multi_request. With rho = 1
-    the instance comes back unchanged.
-    """
-    rho = packets_per_message
-    if rho < 1:
-        raise ValueError(f"packets per message must be at least 1, got {rho}")
-    if rho == 1:
-        return instance
-
-    def block(i: int) -> range:
-        return range((i - 1) * rho + 1, i * rho + 1)
-
-    side_info = [
-        frozenset(p for i in side for p in block(i)) for side in instance.side_info
-    ]
-    demand_sets = [tuple(block(d)) for d in instance.demands]
-    return split_multi_request(instance.field, instance.n * rho, side_info, demand_sets)
-
-
 def default_choice_vectors(instance: IcsiInstance, policy: str = "indicator") -> tuple[Vector, ...]:
     """Built-in choice-vector policies.
 
@@ -283,19 +258,3 @@ def decode_receiver(
     for i in sorted(side):
         acc = field.add(acc, field.mul(u.at(i), field.check_value(side_values[i])))
     return field.sub(total, acc)
-
-
-def feasible(scheme: Scheme, receiver: int) -> bool:
-    """Whether the receiver can always recover its demand.
-
-    Exactly the decodability criterion: some codeword equals 1 at the
-    demand position and vanishes outside side info plus demand. True for
-    every receiver of a scheme built by build_scheme.
-    """
-    if not 1 <= receiver <= scheme.instance.m:
-        raise IndexOutOfRangeError(f"receiver {receiver} outside [1, {scheme.instance.m}]")
-    side = scheme.instance.side_info[receiver - 1]
-    demand = scheme.instance.demands[receiver - 1]
-    if demand in side:
-        return True
-    return scheme.code.confined_combination(side, demand) is not None

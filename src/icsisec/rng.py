@@ -49,9 +49,6 @@ class Rng:
             raise ValueError(f"bound must be positive, got {bound}")
         return (self.next_u64() * bound) >> 64
 
-    def choice(self, items: Sequence[T]) -> T:
-        return items[self.below(len(items))]
-
     def subset(self, items: Sequence[T], size: int) -> tuple[T, ...]:
         """size distinct items, by partial Fisher-Yates; order not preserved."""
         if not 0 <= size <= len(items):

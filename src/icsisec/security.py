@@ -94,10 +94,6 @@ class SecurityQuery:
             raise ValueError(f"known and block overlap at {sorted(self.known & self.block)}")
 
     @property
-    def strength(self) -> int:
-        return len(self.known)
-
-    @property
     def rest(self) -> frozenset[int]:
         return frozenset(range(1, self.n + 1)) - self.known - self.block
 
@@ -131,10 +127,6 @@ class AdversaryView:
         return frozenset(i for i, _ in self.known_values)
 
     @property
-    def strength(self) -> int:
-        return len(self.known_values)
-
-    @property
     def mapping(self) -> dict[int, int]:
         return dict(self.known_values)
 
@@ -161,10 +153,6 @@ class BlockEntropy:
     uniform: bool
     counts: dict[tuple[int, ...], int]
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 def conditional_block_entropy(
     code: LinearCode,
@@ -177,8 +165,8 @@ def conditional_block_entropy(
     Enumerates every message vector that matches the known values and the
     broadcast, tallies the values on the block, and reports the exact count
     table, a uniformity flag (all q^|B| tuples appear equally often), and
-    the entropy in bits. Deliberately shares no machinery with the rank
-    test.
+    the entropy in bits. Deliberately shares no rank or solve machinery
+    with the rank test; it only walks iterate_span over the free columns.
     """
     n, k = code.length, code.dimension
     field = code.field
@@ -196,47 +184,29 @@ def conditional_block_entropy(
 
     gen = code.generator.entries
     columns = [tuple(gen[r][j] for r in range(k)) for j in range(n)]
-    add, sub, mul = field.add, field.sub, field.mul
+    sub, mul = field.sub, field.mul
 
-    current = [0] * k
+    # The free messages must contribute broadcast minus the known columns.
+    target = list(broadcast.entries)
     for i, v in known_values.items():
         field.check_value(v)
         if v:
             col = columns[i - 1]
             for r in range(k):
                 if col[r]:
-                    current[r] = add(current[r], mul(v, col[r]))
+                    target[r] = sub(target[r], mul(v, col[r]))
+    target_key = tuple(target)
 
+    # iterate_span runs its coefficients in canonical odometer order, so the
+    # base-q digits of a step's index, least significant first, are the
+    # values of the free messages in ascending index order.
     free = sorted(query.block | query.rest)
     block_sorted = sorted(query.block)
-    block_pos = [free.index(i) for i in block_sorted]
-    target = list(broadcast.entries)
-
+    block_weights = [q ** free.index(i) for i in block_sorted]
     counts: dict[tuple[int, ...], int] = {}
-    assign = [0] * len(free)
-    if current == target:
-        counts[tuple(0 for _ in block_pos)] = 1
-    while True:
-        pos = 0
-        while pos < len(free) and assign[pos] == q - 1:
-            delta = sub(0, q - 1)
-            col = columns[free[pos] - 1]
-            for r in range(k):
-                if col[r]:
-                    current[r] = add(current[r], mul(delta, col[r]))
-            assign[pos] = 0
-            pos += 1
-        if pos == len(free):
-            break
-        old = assign[pos]
-        assign[pos] = old + 1
-        delta = sub(old + 1, old)
-        col = columns[free[pos] - 1]
-        for r in range(k):
-            if col[r]:
-                current[r] = add(current[r], mul(delta, col[r]))
-        if current == target:
-            key = tuple(assign[p] for p in block_pos)
+    for index, value in enumerate(iterate_span(field, [columns[j - 1] for j in free])):
+        if value == target_key:
+            key = tuple(index // w % q for w in block_weights)
             counts[key] = counts.get(key, 0) + 1
 
     total = sum(counts.values())
@@ -273,17 +243,6 @@ def block_security_level(code: LinearCode, strength: int) -> int:
                 if code.rank_of_columns(rest) != code.rank_of_columns(rest | block_set):
                     return b - 1
     return n - strength
-
-
-def distance_guarantees(code: LinearCode) -> dict[int, int]:
-    """Distance-derived block-security floor per strength.
-
-    A code of minimum distance d hides every block of d - 1 - t messages
-    from every strength-t adversary, for t up to d - 2. Strengths beyond
-    that get no guarantee and are absent from the map.
-    """
-    d = code.min_distance
-    return {t: d - 1 - t for t in range(max(0, d - 1))}
 
 
 @dataclass(frozen=True)
@@ -512,7 +471,6 @@ def security_report(
     *,
     sampled: bool = False,
     seed: int = 0,
-    sweep_limit: int = EXHAUSTIVE_SWEEP_LIMIT,
 ) -> SecurityReport:
     """The full security ladder of a code, one verdict per strength.
 
@@ -520,20 +478,20 @@ def security_report(
     measured block level at strength t is max(0, d - 1 - t), and complete
     insecurity holds exactly from t = n - d_dual + 1. Below that threshold
     each strength carries a counterexample, checked by one linear solve.
-    For n <= sweep_limit the report is "exhaustive" and the counterexample
-    is the first hit of the known-set scan. Beyond that an exhaustive report
-    is refused unless sampled=True; the report is then marked "sampled" and
-    the counterexample is built from the dual's first minimum-weight
-    codeword. The seed is recorded but changes no verdict.
+    For n <= EXHAUSTIVE_SWEEP_LIMIT the report is "exhaustive" and the
+    counterexample is the first hit of the known-set scan. Beyond that an
+    exhaustive report is refused unless sampled=True; the report is then
+    marked "sampled" and the counterexample is built from the dual's first
+    minimum-weight codeword. The seed is recorded but changes no verdict.
     """
     n = code.length
     d = code.min_distance
     dual_distance = code.dual_distance
     threshold = n - dual_distance + 1
-    if n > sweep_limit:
+    if n > EXHAUSTIVE_SWEEP_LIMIT:
         if not sampled:
             raise TooLargeToEnumerateError(
-                f"exhaustive report refused for n={n} > {sweep_limit}; request sampling"
+                f"exhaustive report refused for n={n} > {EXHAUSTIVE_SWEEP_LIMIT}; request sampling"
             )
         mode = "sampled"
     else:

@@ -135,12 +135,18 @@ def load_corpus(path: str) -> tuple[CorpusEntry, ...]:
     if not isinstance(doc, dict):
         raise MalformedInstanceError("corpus document must be a JSON object")
     _require_keys(doc, {"codes"}, {"codes"}, "corpus")
+    if not isinstance(doc["codes"], list):
+        raise MalformedInstanceError("corpus 'codes' must be a list")
     entries = []
     for i, item in enumerate(doc["codes"], start=1):
+        if not isinstance(item, dict):
+            raise MalformedInstanceError(f"corpus code {i} must be an object")
         _require_keys(item, {"name", "field", "generator", "claims"}, {"name", "field", "generator"}, f"corpus code {i}")
         field = _parse_field(item["field"])
-        rows = tuple(tuple(v for v in row) for row in item["generator"])
-        code = LinearCode(Matrix(field, rows))
+        generator = item["generator"]
+        if not isinstance(generator, list) or not all(isinstance(row, list) for row in generator):
+            raise MalformedInstanceError(f"corpus code {i}: generator must be a list of lists")
+        code = LinearCode(Matrix(field, tuple(tuple(row) for row in generator)))
         claims = item.get("claims", {})
         if not isinstance(claims, dict) or set(claims) - {"d", "d_dual"}:
             raise MalformedInstanceError(f"corpus code {i}: claims may set only d and d_dual")
@@ -457,8 +463,3 @@ def run_suite(name: str, seed: int = 0, extra: tuple[CorpusEntry, ...] = ()) -> 
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     corpus = builtin_corpus(seed) + tuple(extra)
     return _SUITES[name][1](seed, corpus)
-
-
-def run_all(seed: int = 0, extra: tuple[CorpusEntry, ...] = ()) -> tuple[SuiteResult, ...]:
-    corpus = builtin_corpus(seed) + tuple(extra)
-    return tuple(fn(seed, corpus) for _, fn in _SUITES.values())

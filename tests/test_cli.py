@@ -338,5 +338,12 @@ class TestVerify:
         assert "FAIL" in result.stdout
         assert "dented_hamming" in result.stderr
 
+    def test_malformed_corpus_is_exit_2(self, tmp_path):
+        path = write_doc(tmp_path, "corpus.json", {"codes": [3]})
+        result = run_cli("verify", "--suite", "thm1", "--corpus", path)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "corpus code 1" in result.stderr
+
     def test_unknown_suite_is_exit_2(self):
         assert run_cli("verify", "--suite", "thm9").returncode == 2

@@ -12,7 +12,6 @@ from icsisec.fileio import (
     dumps_report,
     load_instance,
     parse_instance,
-    report_from_dict,
     report_to_dict,
 )
 from icsisec.icsi import MalformedInstanceError, build_scheme
@@ -53,7 +52,7 @@ class TestParseInstance:
 
     def test_zero_policy(self):
         loaded = parse_instance(doc(choice_policy="zero"))
-        assert all(v.weight == 0 for v in loaded.choice_vectors)
+        assert all(not v.support() for v in loaded.choice_vectors)
 
     def test_extension_field(self):
         document = {
@@ -147,18 +146,15 @@ class TestReportSerialization:
         code, report = self.build()
         document = report_to_dict(report, code)
         assert document["tool_version"] == TOOL_VERSION
-        report2, code2 = report_from_dict(json.loads(json.dumps(document)))
-        assert report2 == report
-        assert code2 == code
-        assert report_to_dict(report2, code2) == document
+        # plain JSON types only: a dump and reload changes nothing
+        assert json.loads(json.dumps(document)) == document
+        assert document["generator"] == [list(row) for row in code.generator.entries]
 
     def test_round_trip_extension_field(self):
         code, report = self.build("rs7_3.json")
         document = report_to_dict(report, code)
         assert document["field"] == {"p": 2, "m": 3, "poly": [1, 1, 0, 1]}
-        report2, code2 = report_from_dict(document)
-        assert report2 == report
-        assert code2.field == code.field
+        assert json.loads(json.dumps(document)) == document
 
     def test_dumps_shape(self):
         code, report = self.build()
@@ -177,10 +173,3 @@ class TestReportSerialization:
                 encoding="utf-8"
             )
             assert dumps_report(report, scheme.code) == golden
-
-    def test_unknown_report_keys_rejected(self):
-        code, report = self.build()
-        document = report_to_dict(report, code)
-        document["comment"] = "tampered"
-        with pytest.raises(MalformedInstanceError):
-            report_from_dict(document)

@@ -18,10 +18,8 @@ from icsisec.icsi import (
     decoding_plan,
     default_choice_vectors,
     encode,
-    feasible,
     split_multi_request,
     validate,
-    vectorize_instance,
 )
 from icsisec.rng import Rng
 
@@ -78,21 +76,6 @@ class TestNormalization:
     def test_split_rejects_empty_demand(self):
         with pytest.raises(EmptyDemandError):
             split_multi_request(F2, 3, [{1}], [()])
-
-    def test_vectorize_identity(self):
-        instance = example_instance()
-        assert vectorize_instance(instance, 1) == instance
-
-    def test_vectorize_blocks(self):
-        instance = IcsiInstance(F2, 2, (frozenset({2}),), (1,))
-        packed = vectorize_instance(instance, 2)
-        assert packed.n == 4
-        assert packed.demands == (1, 2)
-        assert packed.side_info == (frozenset({3, 4}), frozenset({3, 4}))
-
-    def test_vectorize_rejects_bad_rho(self):
-        with pytest.raises(ValueError):
-            vectorize_instance(example_instance(), 0)
 
 
 class TestChoiceVectors:
@@ -242,14 +225,14 @@ class TestEncodeDecode:
 class TestFeasibility:
     def test_built_schemes_serve_every_receiver(self):
         scheme = example()
-        assert all(feasible(scheme, j) for j in range(1, 8))
+        for j in range(1, 8):
+            decoding_plan(scheme, j)
 
     def test_unserved_receiver_detected(self):
         # hand-assembled scheme whose code ignores the receiver's needs
         instance = IcsiInstance(F2, 3, (frozenset(),), (1,))
         code = LinearCode.from_rows([Vector(F2, (1, 1, 1))])
         scheme = Scheme(instance, (Vector(F2, (0, 0, 0)),), code)
-        assert not feasible(scheme, 1)
         with pytest.raises(NotDecodableError):
             decoding_plan(scheme, 1)
 
@@ -258,4 +241,6 @@ class TestFeasibility:
             F2, 3, (frozenset({1, 2}), frozenset({2, 3})), (1, 1)
         )
         scheme = build_scheme(instance, default_choice_vectors(instance))
-        assert feasible(scheme, 1)
+        y, u = decoding_plan(scheme, 1)
+        assert y == Vector.zero(F2, scheme.code.dimension)
+        assert u.support() == frozenset({1})

@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+import icsisec.code as code_module
 from icsisec.algebra import DimensionMismatchError, Field, Matrix, Vector
 from icsisec.code import LinearCode, TooLargeToEnumerateError, reed_solomon_code
 from icsisec.rng import Rng
@@ -24,7 +25,6 @@ from icsisec.security import (
     block_security_level,
     complete_insecurity_attack,
     conditional_block_entropy,
-    distance_guarantees,
     has_no_information,
     list_attack,
     security_report,
@@ -47,6 +47,10 @@ def hamming():
     return LinearCode(Matrix(F2, HAMMING_ROWS))
 
 
+def identity3():
+    return LinearCode(Matrix(F2, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+
+
 def broadcast_of(code, x):
     return code.generator.times_col(Vector(code.field, x))
 
@@ -54,7 +58,6 @@ def broadcast_of(code, x):
 class TestSecurityQuery:
     def test_partition(self):
         q = SecurityQuery(7, frozenset({1, 2}), frozenset({3}))
-        assert q.strength == 2
         assert q.rest == frozenset({4, 5, 6, 7})
 
     def test_rejects_bad_queries(self):
@@ -72,7 +75,6 @@ class TestAdversaryView:
     def test_of(self):
         view = AdversaryView.of({3: 1, 1: 0}, Vector(F2, (0, 1)))
         assert view.known == frozenset({1, 3})
-        assert view.strength == 2
         assert view.mapping == {1: 0, 3: 1}
         assert view.known_values == ((1, 0), (3, 1))
 
@@ -106,7 +108,7 @@ class TestOracle:
         x = (1, 0, 1, 1, 0, 1, 1)
         query = SecurityQuery(7, frozenset(), frozenset({1, 2}))
         entropy = conditional_block_entropy(code, query, {}, broadcast_of(code, x))
-        assert entropy.total == 8
+        assert sum(entropy.counts.values()) == 8
         assert entropy.counts == {t: 2 for t in itertools.product((0, 1), repeat=2)}
         assert entropy.uniform
         assert entropy.bits == pytest.approx(2.0)
@@ -123,7 +125,7 @@ class TestOracle:
         assert entropy.bits == pytest.approx(0.0)
 
     def test_inconsistent_observation(self):
-        code = LinearCode(Matrix.identity(F2, 2))
+        code = LinearCode(Matrix(F2, ((1, 0), (0, 1))))
         query = SecurityQuery(2, frozenset({1}), frozenset({2}))
         with pytest.raises(InconsistentObservationError):
             conditional_block_entropy(code, query, {1: 1}, Vector(F2, (0, 0)))
@@ -175,7 +177,7 @@ class TestBlockSecurityLevel:
         assert block_security_level(code, 1) == 1
 
     def test_identity_code_hides_nothing(self):
-        code = LinearCode(Matrix.identity(F2, 3))
+        code = identity3()
         assert block_security_level(code, 0) == 0
 
     def test_strength_bounds(self):
@@ -190,10 +192,13 @@ class TestBlockSecurityLevel:
             block_security_level(wide, 0)
 
     def test_guarantee_map(self):
-        assert distance_guarantees(hamming()) == {0: 2, 1: 1}
-        assert distance_guarantees(LinearCode(Matrix.identity(F2, 3))) == {}
+        def floors(code):
+            return [v.guaranteed_block_level for v in security_report(code).strengths]
+
+        assert floors(hamming()) == [2, 1, 0, 0, 0, 0, 0]
+        assert floors(identity3()) == [0, 0, 0]
         rs = reed_solomon_code(7, 3, Field(2, 3))
-        assert distance_guarantees(rs) == {0: 4, 1: 3, 2: 2, 3: 1}
+        assert floors(rs) == [4, 3, 2, 1, 0, 0, 0]
 
 
 class TestWeakSecurityWitness:
@@ -210,9 +215,20 @@ class TestWeakSecurityWitness:
         assert witness.exposed not in witness.known
         assert witness.combination.support() <= witness.known
 
-    def test_witness_recovers_the_message(self):
+    def test_witness_recovers_the_message(self, monkeypatch):
+        walks = Counter()
+        original = code_module.iterate_span
+
+        def counted(*args, **kwargs):
+            walks["calls"] += 1
+            for vector in original(*args, **kwargs):
+                walks["yields"] += 1
+                yield vector
+
+        monkeypatch.setattr(code_module, "iterate_span", counted)
         rng = Rng(11)
         for code in (hamming(), reed_solomon_code(7, 3, Field(2, 3))):
+            walks.clear()
             field = code.field
             distribution = code.weight_distribution
             for w in range(1, code.length + 1):
@@ -227,6 +243,8 @@ class TestWeakSecurityWitness:
                     witness.combination.dot(Vector(field, x)),
                 )
                 assert recovered == x[witness.exposed - 1]
+            # one codeword walk serves the distribution and every witness
+            assert walks == {"calls": 1, "yields": field.q ** code.dimension}
 
     def test_full_weight_witness(self):
         code = LinearCode.from_rows([Vector(F2, (1, 1, 1))])
@@ -252,7 +270,7 @@ class TestListAttack:
                 assert broadcast_of(code, candidate.entries) == s
 
     def test_inconsistent_known_values(self):
-        code = LinearCode(Matrix.identity(F2, 2))
+        code = LinearCode(Matrix(F2, ((1, 0), (0, 1))))
         view = AdversaryView.of({1: 1}, Vector(F2, (0, 0)))
         with pytest.raises(InconsistentObservationError):
             list_attack(code, view)
@@ -315,7 +333,7 @@ class TestSecurityReport:
         assert cex is not None and cex.known == frozenset()
 
     def test_identity_code_report(self):
-        report = security_report(LinearCode(Matrix.identity(F2, 3)))
+        report = security_report(identity3())
         assert report.insecurity_threshold == 0
         assert all(v.completely_insecure for v in report.strengths)
         assert not any(v.weakly_secure for v in report.strengths)

@@ -2,7 +2,7 @@
 
 The five suites are exercised once through a module-scoped fixture;
 individual tests then assert on the shared results to keep the total
-runtime near a single run_all invocation.
+runtime near a single pass over SUITE_NAMES.
 """
 
 import json
@@ -18,18 +18,17 @@ from icsisec.verify import (
     builtin_corpus,
     example_scheme,
     load_corpus,
-    run_all,
     run_suite,
 )
 
 
 @pytest.fixture(scope="module")
 def all_results():
-    return {r.name: r for r in run_all(seed=0)}
+    return {name: run_suite(name, seed=0) for name in SUITE_NAMES}
 
 
-def test_suite_names_cover_run_all(all_results):
-    assert tuple(all_results) == SUITE_NAMES
+def test_suite_names_are_fixed(all_results):
+    assert all(result.name == name for name, result in all_results.items())
     assert SUITE_NAMES == ("thm1", "thm2", "lemma3", "thm3", "thm4")
 
 
@@ -126,6 +125,22 @@ class TestLoadCorpus:
             ),
             encoding="utf-8",
         )
+        with pytest.raises(MalformedInstanceError):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"codes": 7},
+            {"codes": [3]},
+            {"codes": [{"name": "x", "field": {"p": 2}, "generator": 5}]},
+            {"codes": [{"name": "x", "field": {"p": 2}, "generator": [1, 1]}]},
+        ],
+        ids=["codes_not_list", "entry_not_object", "generator_not_list", "row_not_list"],
+    )
+    def test_malformed_structure_rejected(self, tmp_path, document):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(MalformedInstanceError):
             load_corpus(str(path))
 
