@@ -7,7 +7,8 @@ error, and the exit code tells the caller what happened:
     1  I/O failure (unreadable or missing file)
     2  malformed instance, bad flag values, or arity mismatch
     3  an enumeration guard fired; for analyze: n > 14 without --sample,
-       or over 2^24 codewords (q^k or q^(n-k)) even with --sample
+       over 2^24 codewords in the code (q^k), or, with --sample, over
+       2^24 in its dual (q^(n-k))
     4  a receiver cannot decode its demand
     5  candidate list unavailable (too large, or known columns break rank)
     6  a verification suite found a property violation

@@ -1,7 +1,10 @@
 """Linear [n, k] block codes over a finite field.
 
-Distances, weight spectra and the first codeword of each weight come from
-explicit codeword enumeration behind a q^k <= 2^24 guard; duals are
+The weight spectrum and the first codeword of each weight come from one
+explicit walk over the q^k codewords behind a q^k <= 2^24 guard. The dual
+distance comes from the same walk through the MacWilliams identity, in
+exact integer arithmetic, whenever k <= n - k; only a code with more
+codewords than its dual walks the (smaller) dual instead. Duals are
 nullspace bases; the orthogonal-array tuple count and the systematic
 Reed-Solomon construction support the security analysis layered on top.
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .algebra import (
@@ -55,6 +59,12 @@ class FieldTooSmallError(CodeError):
 
 class ZeroDualError(CodeError):
     """A full code [n, n] has only the zero vector in its dual."""
+
+
+class MacWilliamsError(CodeError):
+    """The MacWilliams transform of a weight distribution is not the weight
+    distribution of a code: a count is fractional or negative, or the zero
+    word is not counted exactly once. The input was not a linear code's."""
 
 
 def iterate_span(
@@ -191,10 +201,20 @@ class LinearCode:
 
     @cached_property
     def dual_distance(self) -> int:
-        """Minimum distance of the dual; n + 1 by convention when k = n."""
-        if self.dimension == self.length:
-            return self.length + 1
-        return self.dual.min_distance
+        """Minimum distance of the dual; n + 1 by convention when k = n.
+
+        When k <= n - k the code has no more codewords than its dual, so
+        the dual's weight distribution comes from the code's own (cached)
+        walk through the MacWilliams identity; otherwise the smaller dual
+        is walked directly.
+        """
+        n, k = self.length, self.dimension
+        if k == n:
+            return n + 1
+        if k > n - k:
+            return self.dual.min_distance
+        dual_counts = _macwilliams(self.weight_distribution, self.field.q, k)
+        return next(w for w in range(1, n + 1) if dual_counts[w])
 
     @property
     def is_mds(self) -> bool:
@@ -289,13 +309,53 @@ def oa_tuple_counts(code: LinearCode, positions: Iterable[int]) -> dict[tuple[in
         raise TooLargeToEnumerateError(
             f"q^r = {q}^{len(cols)} value tuples exceed {MAX_TUPLE_SPACE}"
         )
+    return _count_tuples(code.codewords(), q, cols)
+
+
+def _count_tuples(
+    words: Iterable[tuple[int, ...]], q: int, cols: Sequence[int]
+) -> dict[tuple[int, ...], int]:
+    """Value-tuple counts of `words` at the ascending 1-based columns `cols`,
+    with every one of the q^|cols| tuples present (0 when it never appears)."""
     counts: dict[tuple[int, ...], int] = {
         t: 0 for t in itertools.product(range(q), repeat=len(cols))
     }
     idx = [j - 1 for j in cols]
-    for cw in code.codewords():
+    for cw in words:
         counts[tuple(cw[i] for i in idx)] += 1
     return counts
+
+
+def _macwilliams(distribution: Sequence[int], q: int, dimension: int) -> tuple[int, ...]:
+    """The dual's weight distribution from the code's, by the MacWilliams identity.
+
+    For a linear [n, k] code over F_q with A_i codewords of weight i, the
+    dual has B_j = (1/q^k) * sum_i A_i K_j(i) codewords of weight j, where
+    K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s) is the Krawtchouk
+    polynomial (MacWilliams & Sloane, ch. 5). Everything is exact integer
+    arithmetic; a remainder in the division, a negative count or B_0 != 1
+    means `distribution` was not a linear [n, k] code's and raises.
+    """
+    n = len(distribution) - 1
+    size = q ** dimension
+    dual = []
+    for j in range(n + 1):
+        total = 0
+        for i, a in enumerate(distribution):
+            if a:
+                total += a * sum(
+                    (-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s)
+                    for s in range(min(i, j) + 1)
+                )
+        count, remainder = divmod(total, size)
+        if remainder or count < 0:
+            raise MacWilliamsError(
+                f"weight {j} of the transform is {total}/{size}, not a codeword count"
+            )
+        dual.append(count)
+    if dual[0] != 1:
+        raise MacWilliamsError(f"the transform counts {dual[0]} zero words, not 1")
+    return tuple(dual)
 
 
 def reed_solomon_code(length: int, dimension: int, field: Field) -> LinearCode:

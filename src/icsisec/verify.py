@@ -3,7 +3,8 @@
 Five suites, named after the facts they exercise (the CLI exposes the
 names thm1 .. thm4 and lemma3):
 
-  thm1    singleton bound, MDS consistency, and per-code distance claims
+  thm1    singleton bound, MDS consistency, the MacWilliams dual spectrum
+          against a walk of the dual, and per-code distance claims
   thm2    orthogonal-array counts in every <= d_dual - 1 column set
   lemma3  algebraic no-information test against the enumeration oracle
   thm3    distance-derived security floors, weight witnesses, list attacks
@@ -21,14 +22,18 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from typing import Optional
 
 from .algebra import Field, Matrix, Vector
 from .code import (
     EmptyInputError,
     LinearCode,
+    MAX_ENUMERATION,
     MAX_TUPLE_SPACE,
+    MacWilliamsError,
     ZeroCodeError,
-    oa_tuple_counts,
+    _count_tuples,
+    _macwilliams,
     reed_solomon_code,
 )
 from .icsi import (
@@ -158,6 +163,27 @@ def _broadcast(code: LinearCode, x: tuple[int, ...]) -> Vector:
     return code.generator.times_col(Vector(code.field, x))
 
 
+def _macwilliams_mismatch(code: LinearCode) -> Optional[dict]:
+    """Where the dual fits the enumeration guard, check the MacWilliams
+    transform of the code's weight distribution, and the dual distance read
+    from it, against a walk over the dual's own codewords. Returns the
+    disagreement, or None when they agree or the dual is too big to walk."""
+    n, k, q = code.length, code.dimension, code.field.q
+    if k == n or q ** (n - k) > MAX_ENUMERATION:
+        return None
+    walked = code.dual.weight_distribution
+    try:
+        transformed = _macwilliams(code.weight_distribution, q, k)
+    except MacWilliamsError as exc:
+        return {"error": str(exc), "walked": list(walked)}
+    if transformed != walked or code.dual_distance != code.dual.min_distance:
+        return {
+            "transformed": list(transformed), "walked": list(walked),
+            "d_dual": code.dual_distance, "walked_d_dual": code.dual.min_distance,
+        }
+    return None
+
+
 def _suite_singleton(seed: int, corpus: tuple[CorpusEntry, ...]) -> SuiteResult:
     cases = 0
     for entry in corpus:
@@ -174,6 +200,9 @@ def _suite_singleton(seed: int, corpus: tuple[CorpusEntry, ...]) -> SuiteResult:
             return _done("thm1", cases, {
                 "code": entry.name, "check": "mds_flag", "n": n, "k": k, "d": d,
             })
+        mismatch = _macwilliams_mismatch(code)
+        if mismatch is not None:
+            return _done("thm1", cases, {"code": entry.name, "check": "macwilliams", **mismatch})
         measured = {"d": d, "d_dual": code.dual_distance}
         for key, claimed in sorted(entry.claims.items()):
             cases += 1
@@ -190,13 +219,15 @@ def _suite_orthogonal_array(seed: int, corpus: tuple[CorpusEntry, ...]) -> Suite
     for entry in corpus:
         code = entry.code
         n, k, q = code.length, code.dimension, code.field.q
-        strength = code.dual_distance - 1
-        for r in range(1, min(strength, n) + 1):
+        strength = min(code.dual_distance - 1, n)
+        # One walk per code fills every column subset's table.
+        words = tuple(code.codewords()) if strength else ()
+        for r in range(1, strength + 1):
             if q ** r > MAX_TUPLE_SPACE:
                 break
             expected = q ** (k - r)
             for positions in itertools.combinations(range(1, n + 1), r):
-                counts = oa_tuple_counts(code, positions)
+                counts = _count_tuples(words, q, positions)
                 cases += 1
                 bad = next((t for t, c in sorted(counts.items()) if c != expected), None)
                 if bad is not None:

@@ -15,6 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from icsisec.algebra import Field
+from icsisec.code import reed_solomon_code
+
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
 
@@ -114,6 +117,30 @@ class TestAnalyze:
         assert result.returncode == 3
         assert result.stdout == ""
         assert "7^10" in result.stderr
+
+    def test_dual_past_the_guard_is_analysed(self, tmp_path):
+        # RS [12, 4] over F13: the code has 13^4 codewords and its dual 13^8,
+        # over the 2^24 guard; d_dual comes from the code's own walk.
+        rows = reed_solomon_code(12, 4, Field(13)).generator.entries
+        path = write_doc(
+            tmp_path,
+            "rs12_4_f13.json",
+            {
+                "field": {"p": 13},
+                "n": 12,
+                "receivers": [{"side_info": list(range(5, 13)), "demand": i} for i in range(1, 5)],
+                "choice_policy": [[0 if j == i else v for j, v in enumerate(row)] for i, row in enumerate(rows)],
+            },
+        )
+        result = run_cli("analyze", path)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["code"] == {"n": 12, "k": 4, "d": 9, "d_dual": 5}
+        assert report["insecure_from"] == 8
+        assert report["mode"] == "exhaustive"
+        optimized = run_cli("analyze", path, interpreter_flags=("-O",))
+        assert optimized.returncode == 0, optimized.stderr
+        assert optimized.stdout == result.stdout
 
     def test_missing_file_is_exit_1(self):
         result = run_cli("analyze", str(INSTANCES / "absent.json"))

@@ -6,21 +6,28 @@ code object's own search paths.
 """
 
 import itertools
+import random
+from collections import Counter
+from math import comb
 
 import pytest
 
+import icsisec.code as code_module
 from icsisec.algebra import Field, Matrix, Vector
 from icsisec.code import (
     EmptyInputError,
     FieldTooSmallError,
     LinearCode,
     MAX_TUPLE_SPACE,
+    MacWilliamsError,
     TooLargeToEnumerateError,
     ZeroCodeError,
+    _macwilliams,
     iterate_span,
     oa_tuple_counts,
     reed_solomon_code,
 )
+from icsisec.security import security_report
 
 F2 = Field(2)
 F3 = Field(3)
@@ -253,6 +260,88 @@ class TestOrthogonalArray:
         assert big.q ** 2 > MAX_TUPLE_SPACE
         with pytest.raises(TooLargeToEnumerateError):
             oa_tuple_counts(code, (1, 2))
+
+
+def mds_weight_distribution(n, k, q):
+    """Closed-form weight enumerator of an [n, k] MDS code over F_q:
+    A_w = C(n, w) sum_{j=0}^{w-d} (-1)^j C(w, j) (q^(w-d+1-j) - 1), d = n-k+1."""
+    d = n - k + 1
+    counts = [1] + [0] * n
+    for w in range(d, n + 1):
+        counts[w] = comb(n, w) * sum(
+            (-1) ** j * comb(w, j) * (q ** (w - d + 1 - j) - 1) for j in range(w - d + 1)
+        )
+    return tuple(counts)
+
+
+class TestMacWilliams:
+    def test_hamming_transforms_to_simplex(self):
+        assert _macwilliams(hamming().weight_distribution, 2, 4) == (1, 0, 0, 0, 7, 0, 0, 0)
+
+    @pytest.mark.parametrize("n,k,q", [(9, 3, 11), (12, 4, 13)], ids=["rs9_3_f11", "rs12_4_f13"])
+    def test_reed_solomon_dual_is_mds(self, n, k, q):
+        code = reed_solomon_code(n, k, Field(q))
+        assert code.weight_distribution == mds_weight_distribution(n, k, q)
+        dual = _macwilliams(code.weight_distribution, q, k)
+        assert dual == mds_weight_distribution(n, n - k, q)
+        assert code.dual_distance == k + 1
+
+    def test_random_codes_match_the_walked_dual(self):
+        rng = random.Random(5)
+        fields = (F2, F3, Field(2, 2), Field(5), F8, Field(3, 2))
+        checked = Counter()
+        while sum(checked.values()) < 60:
+            field = fields[rng.randrange(len(fields))]
+            q = field.q
+            n = 2 + rng.randrange(8)
+            k = 1 + rng.randrange(n - 1)
+            if q ** max(k, n - k) > 4096:
+                continue
+            rows = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(k))
+            try:
+                code = LinearCode(Matrix(field, rows))
+            except ZeroCodeError:
+                continue
+            if code.dimension == n:
+                continue
+            transformed = _macwilliams(code.weight_distribution, q, code.dimension)
+            assert transformed == code.dual.weight_distribution
+            assert code.dual_distance == code.dual.min_distance
+            checked[q] += 1
+        assert set(checked) == {2, 3, 4, 5, 8, 9}
+
+    def test_inconsistent_distributions_raise(self):
+        # Not a linear code's: the transform has fractional counts.
+        with pytest.raises(MacWilliamsError):
+            _macwilliams((1, 0, 0, 7, 7, 0, 1, 0), 2, 4)
+        # Two codewords where the dimension promises four: B_0 = 1/2.
+        with pytest.raises(MacWilliamsError):
+            _macwilliams((1, 0, 0, 1), 2, 2)
+
+    def test_report_walks_only_the_code(self, monkeypatch):
+        walks = Counter()
+        original = code_module.iterate_span
+
+        def counted(*args, **kwargs):
+            for vector in original(*args, **kwargs):
+                walks["yields"] += 1
+                yield vector
+
+        monkeypatch.setattr(code_module, "iterate_span", counted)
+        report = security_report(reed_solomon_code(9, 3, Field(11)))
+        assert (report.min_distance, report.dual_distance) == (7, 4)
+        assert walks["yields"] <= 11 ** 3
+
+    def test_larger_code_walks_its_dual(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("k > n - k must walk the dual, not transform")
+
+        monkeypatch.setattr(code_module, "_macwilliams", refuse)
+        even = LinearCode(Matrix(F2, tuple(
+            tuple(1 if j in (i, 13) else 0 for j in range(14)) for i in range(13)
+        )))
+        assert even.dual_distance == 14
+        assert even.dual.weight_distribution == (1,) + (0,) * 13 + (1,)
 
 
 class TestReedSolomon:

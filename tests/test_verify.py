@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+import icsisec.code as code_module
 from icsisec.algebra import Field, Vector
 from icsisec.code import LinearCode
 from icsisec.icsi import MalformedInstanceError
@@ -178,3 +179,31 @@ class TestFailureReporting:
         extended = run_suite("thm2", extra=(entry,))
         assert extended.ok
         assert extended.cases > base.cases
+
+    def test_corrupted_spectrum_fails_macwilliams(self):
+        # [3, 1] repetition code whose cached walk is replaced by the
+        # spectrum of span{110}: its transform is integral, (1, 1, 1, 1),
+        # but the walked dual of the real code is (1, 0, 3, 0).
+        code = LinearCode.from_rows([Vector(Field(2), (1, 1, 1))])
+        code.__dict__["_spectrum"] = ((1, 0, 1, 0), {2: (1, 1, 0)})
+        result = run_suite("thm1", extra=(CorpusEntry("corrupt", code, {}),))
+        assert not result.ok
+        failure = result.failures[0]
+        assert (failure["code"], failure["check"]) == ("corrupt", "macwilliams")
+        assert failure["walked"] == [1, 0, 3, 0]
+
+    def test_corrupted_transform_fails_macwilliams(self, monkeypatch):
+        original = code_module._macwilliams
+
+        def shifted(distribution, q, dimension):
+            dual = list(original(distribution, q, dimension))
+            w = next(j for j in range(1, len(dual)) if dual[j])
+            dual[w - 1], dual[w] = dual[w - 1] + dual[w], 0
+            return tuple(dual)
+
+        monkeypatch.setattr(code_module, "_macwilliams", shifted)
+        result = run_suite("thm1")
+        assert not result.ok
+        failure = result.failures[0]
+        assert failure["check"] == "macwilliams"
+        assert failure["d_dual"] == failure["walked_d_dual"] - 1
