@@ -14,6 +14,13 @@ ordinary 0-based Python sequences.
 
 Everything in this module is immutable after construction; operations are
 pure functions, so sharing objects between workers is safe.
+
+Validation happens once, at the input boundary: the public Vector(...) and
+Matrix(...) constructors check every entry with Field.check_value, so values
+parsed from a file or the command line always pass through them. Results of
+field operations, and values taken from objects already validated, are
+canonical by construction and are wrapped by the private unchecked
+constructors Vector._raw and Matrix._raw instead.
 """
 
 from __future__ import annotations
@@ -303,8 +310,16 @@ class Vector:
             self.field.check_value(v)
 
     @classmethod
+    def _raw(cls, field: Field, entries: tuple[int, ...]) -> "Vector":
+        """Unchecked constructor; the entries must already be canonical."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "field", field)
+        object.__setattr__(vector, "entries", entries)
+        return vector
+
+    @classmethod
     def zero(cls, field: Field, length: int) -> "Vector":
-        return cls(field, (0,) * length)
+        return cls._raw(field, (0,) * length)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -321,17 +336,17 @@ class Vector:
     def __add__(self, other: "Vector") -> "Vector":
         other = self._peer(other)
         add = self.field.add
-        return Vector(self.field, tuple(add(a, b) for a, b in zip(self.entries, other.entries)))
+        return Vector._raw(self.field, tuple(add(a, b) for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Vector") -> "Vector":
         other = self._peer(other)
         sub = self.field.sub
-        return Vector(self.field, tuple(sub(a, b) for a, b in zip(self.entries, other.entries)))
+        return Vector._raw(self.field, tuple(sub(a, b) for a, b in zip(self.entries, other.entries)))
 
     def scaled(self, coefficient: int) -> "Vector":
         self.field.check_value(coefficient)
         mul = self.field.mul
-        return Vector(self.field, tuple(mul(coefficient, a) for a in self.entries))
+        return Vector._raw(self.field, tuple(mul(coefficient, a) for a in self.entries))
 
     def dot(self, other: "Vector") -> int:
         other = self._peer(other)
@@ -356,7 +371,7 @@ def unit_vector(position: int, length: int, field: Field) -> Vector:
     """The standard basis vector e_position of the given length, 1-based."""
     if not 1 <= position <= length:
         raise IndexOutOfRangeError(f"position {position} outside [1, {length}]")
-    return Vector(field, tuple(1 if i == position - 1 else 0 for i in range(length)))
+    return Vector._raw(field, tuple(1 if i == position - 1 else 0 for i in range(length)))
 
 
 @dataclass(frozen=True)
@@ -379,14 +394,26 @@ class Matrix:
                 self.field.check_value(v)
 
     @classmethod
+    def _raw(cls, field: Field, entries: tuple[tuple[int, ...], ...]) -> "Matrix":
+        """Unchecked constructor; the rows must already be canonical, nonempty
+        and of equal length."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "field", field)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Vector]) -> "Matrix":
         if not rows:
             raise ValueError("need at least one row vector")
         field = rows[0].field
+        width = len(rows[0])
         for v in rows:
             if v.field != field:
                 raise FieldMismatchError("rows live in different fields")
-        return cls(field, tuple(v.entries for v in rows))
+            if len(v) != width:
+                raise DimensionMismatchError("rows have unequal lengths")
+        return cls._raw(field, tuple(v.entries for v in rows))
 
     @property
     def nrows(self) -> int:
@@ -409,7 +436,7 @@ class Matrix:
             for a, b in zip(row, x.entries):
                 acc = add(acc, mul(a, b))
             out.append(acc)
-        return Vector(self.field, tuple(out))
+        return Vector._raw(self.field, tuple(out))
 
     def left_times(self, y: Union[Vector, Sequence[int]]) -> Vector:
         """y M as a vector of length ncols."""
@@ -424,16 +451,20 @@ class Matrix:
             if c:
                 for j, rv in enumerate(row):
                     out[j] = add(out[j], mul(c, rv))
-        return Vector(self.field, tuple(out))
+        return Vector._raw(self.field, tuple(out))
 
 
-def _rref_raw(field: Field, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+def _rref_raw(
+    field: Field, rows: Sequence[Sequence[int]], width: Optional[int] = None
+) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form on raw entry lists.
 
     Deterministic pivoting: for each column left to right, the topmost
     unused row with a nonzero entry becomes the pivot; pivots are
     normalized to 1 and eliminated above and below. Returns the reduced
-    rows and the 0-based pivot column list.
+    rows and the 0-based pivot column list. With `width`, pivots are taken
+    only among the first `width` columns; the columns after them (an
+    augmented right-hand side) are carried through every row operation.
     """
     mat = [list(r) for r in rows]
     nrows = len(mat)
@@ -441,7 +472,7 @@ def _rref_raw(field: Field, rows: Sequence[Sequence[int]]) -> tuple[list[list[in
     sub, mul, inv = field.sub, field.mul, field.inv
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(ncols if width is None else width):
         if r == nrows:
             break
         pr = next((i for i in range(r, nrows) if mat[i][c]), None)
@@ -497,17 +528,29 @@ def solve(matrix: Matrix, rhs: Vector) -> LinearSolution:
     reduced, pivots = _rref_raw(field, aug)
     if pivots and pivots[-1] == ncols:
         raise InconsistentSystemError("no solution exists")
-    particular = [0] * ncols
+    particular, kernel = _read_solution(field, reduced, pivots, ncols)
+    return LinearSolution(
+        Vector._raw(field, particular), tuple(Vector._raw(field, v) for v in kernel)
+    )
+
+
+def _read_solution(
+    field: Field, reduced: Sequence[Sequence[int]], pivots: Sequence[int], width: int
+) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The solution with every free variable zero, and the kernel basis, read
+    off a consistent reduced [A | b] whose pivots lie among A's `width`
+    columns; b is column `width`."""
+    particular = [0] * width
     for r, c in enumerate(pivots):
-        particular[c] = reduced[r][ncols]
+        particular[c] = reduced[r][width]
     pivot_set = set(pivots)
     kernel = []
-    for free in range(ncols):
+    for free in range(width):
         if free in pivot_set:
             continue
-        vec = [0] * ncols
+        vec = [0] * width
         vec[free] = 1
         for r, c in enumerate(pivots):
             vec[c] = field.neg(reduced[r][free])
-        kernel.append(Vector(field, tuple(vec)))
-    return LinearSolution(Vector(field, tuple(particular)), tuple(kernel))
+        kernel.append(tuple(vec))
+    return tuple(particular), kernel

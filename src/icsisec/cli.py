@@ -14,12 +14,16 @@ error, and the exit code tells the caller what happened:
     6  a verification suite found a property violation
 
 The environment variable ICSI_SEC_THREADS is accepted as a worker-count
-hint; the sweeps are sequential, so it never changes output.
+hint; the program is single-threaded, so it never changes output.
+
+The argument parser is built once per process, on the first main() call,
+so repeated in-process calls pay only for parsing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -51,14 +55,11 @@ def _load(args: argparse.Namespace) -> tuple[LoadedInstance, Scheme]:
     return loaded, build_scheme(loaded.instance, loaded.choice_vectors)
 
 
-def _parse_values(text: str, field, expected: int, what: str) -> tuple[int, ...]:
+def _parse_vector(text: str, field, expected: int, what: str) -> Vector:
     parts = [p.strip() for p in text.split(",")] if text.strip() else []
     if len(parts) != expected:
         raise ValueError(f"{what} needs {expected} comma-separated values, got {len(parts)}")
-    values = tuple(int(p) for p in parts)
-    for v in values:
-        field.check_value(v)
-    return values
+    return Vector(field, tuple(int(p) for p in parts))
 
 
 def _parse_assignments(text: str, field) -> dict[int, int]:
@@ -88,8 +89,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     _, scheme = _load(args)
     field = scheme.field
-    values = _parse_values(args.messages, field, scheme.instance.n, "--messages")
-    broadcast = encode(scheme, Vector(field, values))
+    messages = _parse_vector(args.messages, field, scheme.instance.n, "--messages")
+    broadcast = encode(scheme, messages)
     for value in broadcast.entries:
         print(value)
     return 0
@@ -98,9 +99,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_decode(args: argparse.Namespace) -> int:
     _, scheme = _load(args)
     field = scheme.field
-    broadcast = Vector(
-        field, _parse_values(args.broadcast, field, scheme.code.dimension, "--broadcast")
-    )
+    broadcast = _parse_vector(args.broadcast, field, scheme.code.dimension, "--broadcast")
     side = _parse_assignments(args.side, field)
     print(decode_receiver(scheme, args.receiver, broadcast, side))
     return 0
@@ -111,19 +110,25 @@ def cmd_attack(args: argparse.Namespace) -> int:
     field = scheme.field
     code = scheme.code
     known = _parse_assignments(args.known, field)
-    broadcast = Vector(
-        field, _parse_values(args.broadcast, field, code.dimension, "--broadcast")
-    )
+    broadcast = _parse_vector(args.broadcast, field, code.dimension, "--broadcast")
     view = AdversaryView.of(known, broadcast)
+    # Every answer is computed before anything is printed, so a refused
+    # list (exit 2 or 5) leaves stdout empty.
     outcome = complete_insecurity_attack(code, view)
+    candidates = list_attack(code, view) if args.list else None
     values = outcome.mapping
-    for i in sorted(set(range(1, code.length + 1)) - view.known):
-        print(f"{i}={values[i]}" if i in values else f"{i}=?")
-    if args.list:
-        candidates = list_attack(code, view)
-        print(f"count={len(candidates)}")
-        for candidate in candidates:
-            print(",".join(str(v) for v in candidate.entries))
+    lines = [
+        f"{i}={values[i]}" if i in values else f"{i}=?"
+        for i in range(1, code.length + 1)
+        if i not in known
+    ]
+    if candidates is not None:
+        lines.append(f"count={len(candidates)}")
+        lines.extend(",".join(map(str, c.entries)) for c in candidates)
+    if not outcome.consistent:
+        print("note: the observation matches no message vector; "
+              "recovered values are not meaningful", file=sys.stderr)
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
     return 0
 
 
@@ -187,8 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except OSError as exc:

@@ -118,7 +118,7 @@ class LinearCode:
         if not pivots:
             raise ZeroCodeError("all rows are zero")
         self.field = generator.field
-        self.generator = Matrix(self.field, tuple(tuple(rows[i]) for i in range(len(pivots))))
+        self.generator = Matrix._raw(self.field, tuple(tuple(rows[i]) for i in range(len(pivots))))
         self.pivot_columns = tuple(c + 1 for c in pivots)
         self._rank_cache: dict[frozenset[int], int] = {}
 
@@ -282,9 +282,9 @@ class LinearCode:
         constraint_cols = [j for j in range(1, n + 1) if j != position and j not in allowed_set]
         constraint_cols.append(position)
         a_rows = tuple(tuple(gen[r][j - 1] for r in range(k)) for j in constraint_cols)
-        rhs = Vector(self.field, (0,) * (len(constraint_cols) - 1) + (1,))
+        rhs = Vector._raw(self.field, (0,) * (len(constraint_cols) - 1) + (1,))
         try:
-            solution = solve(Matrix(self.field, a_rows), rhs)
+            solution = solve(Matrix._raw(self.field, a_rows), rhs)
         except InconsistentSystemError:
             return None
         y = solution.particular

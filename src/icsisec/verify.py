@@ -8,7 +8,9 @@ names thm1 .. thm4 and lemma3):
   thm2    orthogonal-array counts in every <= d_dual - 1 column set
   lemma3  algebraic no-information test against the enumeration oracle
   thm3    distance-derived security floors, weight witnesses, list attacks
-  thm4    guaranteed full recovery at strength n - d_dual + 1
+  thm4    guaranteed full recovery at strength n - d_dual + 1, with the
+          one-reduction attack checked index by index against
+          LinearCode.confined_combination
 
 Suites run against a built-in corpus (three named codes plus 50 seeded
 random ones) and stop at the first failing case, so a reported failure is
@@ -45,6 +47,7 @@ from .icsi import (
 from .rng import Rng
 from .security import (
     AdversaryView,
+    AttackOutcome,
     ListTooLargeError,
     RankDeficientError,
     SecurityQuery,
@@ -442,6 +445,30 @@ def _suite_security_thresholds(seed: int, corpus: tuple[CorpusEntry, ...]) -> Su
     return _done("thm3", cases, None)
 
 
+def _attack_route_mismatch(
+    code: LinearCode, view: AdversaryView, outcome: AttackOutcome
+) -> Optional[dict]:
+    """Check the one-reduction attack against one confined_combination solve
+    per unknown index: a recovered index needs a combination whose value
+    y . s - c . x_K is the same, a resisted one must have none. Returns the
+    first disagreement, or None."""
+    field = code.field
+    known = view.mapping
+    values = outcome.mapping
+    for i in sorted(set(range(1, code.length + 1)) - known.keys()):
+        found = code.confined_combination(known.keys(), i)
+        slow = None
+        if found is not None:
+            y, c = found
+            acc = 0
+            for idx, v in known.items():
+                acc = field.add(acc, field.mul(c.at(idx), v))
+            slow = field.sub(y.dot(view.broadcast), acc)
+        if values.get(i) != slow:
+            return {"index": i, "attack": values.get(i), "confined": slow}
+    return None
+
+
 def _suite_full_recovery(seed: int, corpus: tuple[CorpusEntry, ...]) -> SuiteResult:
     cases = 0
     rng = Rng(seed)
@@ -456,6 +483,12 @@ def _suite_full_recovery(seed: int, corpus: tuple[CorpusEntry, ...]) -> SuiteRes
             view = AdversaryView.of({i: x[i - 1] for i in known}, _broadcast(code, x))
             outcome = complete_insecurity_attack(code, view)
             cases += 1
+            mismatch = _attack_route_mismatch(code, view, outcome)
+            if mismatch is not None:
+                return _done("thm4", cases, {
+                    "code": entry.name, "check": "attack_route", "known": list(known),
+                    **mismatch,
+                })
             if not outcome.complete:
                 return _done("thm4", cases, {
                     "code": entry.name, "known": list(known),

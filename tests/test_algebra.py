@@ -181,6 +181,10 @@ class TestMatrix:
         assert m.times_col(Vector(F5, (1, 1, 1))).entries == (3, 4)
         assert m.left_times(Vector(F5, (1, 2))).entries == (1, 4, 1)
 
+    def test_from_rows_checks_lengths(self):
+        with pytest.raises(DimensionMismatchError):
+            Matrix.from_rows([Vector(F5, (1, 2, 0)), Vector(F5, (0, 1))])
+
 
 def random_matrix(draw_field=True):
     def build(args):
@@ -218,6 +222,19 @@ class TestRref:
         # idempotent
         again, _ = _rref_raw(m.field, rows)
         assert again == rows
+
+    @settings(deadline=None)
+    @given(random_matrix())
+    def test_width_carries_right_hand_columns(self, m):
+        # Pivoting on the first columns only: the left block reduces as on
+        # its own, and the appended copy of the matrix records the row
+        # operations, so it reduces to the same rows.
+        aug = [list(row) + list(row) for row in m.entries]
+        rows, pivots = _rref_raw(m.field, aug, width=m.ncols)
+        alone, alone_pivots = _rref_raw(m.field, m.entries)
+        assert pivots == alone_pivots
+        assert [r[: m.ncols] for r in rows] == alone
+        assert [r[m.ncols :] for r in rows] == alone
 
     @settings(deadline=None)
     @given(random_matrix())

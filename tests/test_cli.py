@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from icsisec import cli
 from icsisec.algebra import Field
 from icsisec.code import reed_solomon_code
 
@@ -40,6 +41,29 @@ def write_doc(tmp_path, name, document):
     path = tmp_path / name
     path.write_text(json.dumps(document), encoding="utf-8")
     return str(path)
+
+
+def call_main(capsys, *args):
+    """Run the CLI in this process; returns (exit code, stdout, stderr)."""
+    code = cli.main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# One receiver over F_2 with n = 3: a [3, 1] code whose unknown columns
+# lose rank once two messages are known.
+THIN = {
+    "field": {"p": 2},
+    "n": 3,
+    "receivers": [{"side_info": [2], "demand": 1}],
+}
+
+# Strength 4 on the [7, 4] Hamming code is past d - 1, so G_U has rank 3 < k
+# and this broadcast matches no message vector.
+STRONG_HAMMING_ATTACK = (
+    "attack", str(INSTANCES / "hamming7.json"),
+    "--known", "1=1,2=0,3=1,5=0", "--broadcast", "1,0,0,1",
+)
 
 
 class TestAnalyze:
@@ -305,19 +329,35 @@ class TestAttack:
         assert len(lines) == 8
 
     def test_rank_deficient_list_is_exit_5(self, tmp_path):
-        path = write_doc(
-            tmp_path,
-            "thin.json",
-            {
-                "field": {"p": 2},
-                "n": 3,
-                "receivers": [{"side_info": [2], "demand": 1}],
-            },
-        )
+        path = write_doc(tmp_path, "thin.json", THIN)
         result = run_cli(
             "attack", path, "--known", "1=0,2=0", "--broadcast", "0", "--list"
         )
         assert result.returncode == 5
+        # Nothing is printed before the refusal.
+        assert result.stdout == ""
+
+    def test_inconsistent_list_prints_nothing(self, capsys):
+        code, out, err = call_main(capsys, *STRONG_HAMMING_ATTACK, "--list")
+        assert code == 2
+        assert out == ""
+        assert "matches no message vector" in err
+
+    def test_inconsistent_observation_is_noted(self, capsys):
+        code, out, err = call_main(capsys, *STRONG_HAMMING_ATTACK)
+        assert code == 0
+        assert len(out.split()) == 3
+        assert err == (
+            "note: the observation matches no message vector; "
+            "recovered values are not meaningful\n"
+        )
+        code, out, err = call_main(
+            capsys, "attack", str(INSTANCES / "hamming7.json"),
+            "--known", "1=1,2=0,3=1,5=0", "--broadcast", "1,0,1,0",
+        )
+        assert code == 0
+        assert out == "4=0\n6=0\n7=0\n"
+        assert err == ""
 
     def test_inconsistent_observation_is_exit_2(self):
         result = run_cli(
@@ -374,3 +414,60 @@ class TestVerify:
 
     def test_unknown_suite_is_exit_2(self):
         assert run_cli("verify", "--suite", "thm9").returncode == 2
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("encode", "--messages", "0,0,0,0,0,0,2"),
+            ("decode", "--receiver", "5", "--broadcast", "0,1,1,2", "--side", "1=0,2=0,6=0"),
+            ("decode", "--receiver", "5", "--broadcast", "0,1,1,1", "--side", "1=0,2=2,6=0"),
+            ("attack", "--known", "1=2", "--broadcast", "0,0,0,0"),
+            ("attack", "--known", "1=0", "--broadcast", "0,0,2,0"),
+        ],
+        ids=["encode-messages", "decode-broadcast", "decode-side", "attack-known", "attack-broadcast"],
+    )
+    def test_out_of_range_argv_value_is_exit_2(self, capsys, args):
+        command, *flags = args
+        code, out, err = call_main(capsys, command, str(INSTANCES / "hamming7.json"), *flags)
+        assert code == 2
+        assert out == ""
+        assert "is not a canonical element of Field(2)" in err
+
+    def test_out_of_range_choice_vector_entry_is_exit_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "policy.json", {**THIN, "choice_policy": [[0, 2, 0]]})
+        code, out, err = call_main(capsys, "encode", path, "--messages", "0,0,0")
+        assert code == 2
+        assert out == ""
+        assert "choice vector 1" in err
+
+
+class TestCachedParser:
+    def test_calls_in_a_row_share_no_state(self, monkeypatch, capsys):
+        built = []
+        original = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            attack = ("attack", str(INSTANCES / "hamming7.json"),
+                      "--known", "1=0,2=0", "--broadcast", "0,0,0,0")
+            code, out, _ = call_main(capsys, *attack, "--list")
+            assert code == 0 and "count=2" in out.split()
+            code, out, _ = call_main(capsys, *attack)
+            assert code == 0 and not any(line.startswith("count=") for line in out.split())
+
+            hamming = str(INSTANCES / "hamming7.json")
+            code, out, _ = call_main(capsys, "analyze", "--sample", "--seed", "5", hamming)
+            assert code == 0 and json.loads(out)["seed"] == 5
+            code, out, _ = call_main(capsys, "analyze", hamming)
+            golden = (INSTANCES / "golden" / "hamming7.report.json").read_text(encoding="utf-8")
+            assert code == 0 and out == golden
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 import icsisec.code as code_module
+import icsisec.security as security_module
 from icsisec.algebra import DimensionMismatchError, Field, Matrix, Vector
 from icsisec.code import LinearCode, TooLargeToEnumerateError, reed_solomon_code
 from icsisec.rng import Rng
@@ -30,7 +31,7 @@ from icsisec.security import (
     security_report,
     weak_security_witness,
 )
-from icsisec.verify import builtin_corpus
+from icsisec.verify import _attack_route_mismatch, builtin_corpus
 
 F2 = Field(2)
 F3 = Field(3)
@@ -315,6 +316,53 @@ class TestCompleteInsecurityAttack:
                 code,
                 AdversaryView.of({i: 0 for i in range(1, 8)}, Vector(F2, (0,) * 4)),
             )
+
+    def test_one_reduction_matches_confined_solves(self, monkeypatch):
+        # Every corpus code at every strength, one seeded known set each:
+        # the reduction's verdicts and values agree with one
+        # confined_combination solve per index, which the attack itself
+        # no longer makes.
+        rng = Rng(3)
+        checks = []
+        for entry in builtin_corpus(0):
+            code = entry.code
+            n, q = code.length, code.field.q
+            for t in range(n):
+                known = rng.subset(tuple(range(1, n + 1)), t)
+                x = tuple(rng.below(q) for _ in range(n))
+                view = AdversaryView.of({i: x[i - 1] for i in known}, broadcast_of(code, x))
+                checks.append((code, view, x))
+        reductions = []
+        original = security_module._rref_raw
+
+        def counting(*args, **kwargs):
+            reductions.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(security_module, "_rref_raw", counting)
+        monkeypatch.setattr(LinearCode, "confined_combination", None)
+        outcomes = [complete_insecurity_attack(code, view) for code, view, _ in checks]
+        assert len(reductions) == len(checks)
+        monkeypatch.undo()
+        for (code, view, x), outcome in zip(checks, outcomes):
+            assert outcome.consistent
+            assert all(v == x[i - 1] for i, v in outcome.recovered)
+            assert _attack_route_mismatch(code, view, outcome) is None
+
+    def test_inconsistent_observation_is_flagged(self):
+        # Strength 4 >= d = 3 leaves G_U rank-deficient, so some broadcasts
+        # match no message vector; which indices are recovered does not
+        # depend on the broadcast.
+        code = hamming()
+        known = {1: 1, 2: 0, 3: 1, 5: 0}
+        real = complete_insecurity_attack(
+            code, AdversaryView.of(known, broadcast_of(code, (1, 0, 1, 0, 0, 0, 0)))
+        )
+        bogus = complete_insecurity_attack(code, AdversaryView.of(known, Vector(F2, (1, 0, 0, 1))))
+        assert real.consistent and not bogus.consistent
+        assert [i for i, _ in bogus.recovered] == [i for i, _ in real.recovered] == [4, 6, 7]
+        with pytest.raises(InconsistentObservationError):
+            list_attack(code, AdversaryView.of(known, Vector(F2, (1, 0, 0, 1))))
 
 
 class TestSecurityReport:

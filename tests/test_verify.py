@@ -10,6 +10,7 @@ import json
 import pytest
 
 import icsisec.code as code_module
+import icsisec.security as security_module
 from icsisec.algebra import Field, Vector
 from icsisec.code import LinearCode
 from icsisec.icsi import MalformedInstanceError
@@ -207,3 +208,20 @@ class TestFailureReporting:
         failure = result.failures[0]
         assert failure["check"] == "macwilliams"
         assert failure["d_dual"] == failure["walked_d_dual"] - 1
+
+    def test_flipped_attack_value_fails_attack_route(self, monkeypatch):
+        # At the thm4 threshold every reduced row recovers an index, so
+        # shifting the first row's right-hand side corrupts one value.
+        original = security_module._reduce_unknowns
+
+        def flipped(code, known, broadcast):
+            unknown, reduced, pivots = original(code, known, broadcast)
+            reduced[0][-1] = code.field.add(reduced[0][-1], 1)
+            return unknown, reduced, pivots
+
+        monkeypatch.setattr(security_module, "_reduce_unknowns", flipped)
+        result = run_suite("thm4")
+        assert not result.ok
+        failure = result.failures[0]
+        assert failure["check"] == "attack_route"
+        assert failure["attack"] != failure["confined"]
