@@ -16,8 +16,10 @@ generator matrices, byte for byte.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cached_property
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .algebra import (
@@ -317,12 +319,14 @@ def _count_tuples(
 ) -> dict[tuple[int, ...], int]:
     """Value-tuple counts of `words` at the ascending 1-based columns `cols`,
     with every one of the q^|cols| tuples present (0 when it never appears)."""
-    counts: dict[tuple[int, ...], int] = {
-        t: 0 for t in itertools.product(range(q), repeat=len(cols))
-    }
-    idx = [j - 1 for j in cols]
-    for cw in words:
-        counts[tuple(cw[i] for i in idx)] += 1
+    counts: dict[tuple[int, ...], int] = dict.fromkeys(
+        itertools.product(range(q), repeat=len(cols)), 0
+    )
+    tally = Counter(map(itemgetter(*(j - 1 for j in cols)), words))
+    if len(cols) == 1:
+        # itemgetter with one index returns the bare value, not a 1-tuple.
+        tally = {(v,): c for v, c in tally.items()}
+    counts.update(tally)
     return counts
 
 

@@ -6,7 +6,11 @@ names thm1 .. thm4 and lemma3):
   thm1    singleton bound, MDS consistency, the MacWilliams dual spectrum
           against a walk of the dual, and per-code distance claims
   thm2    orthogonal-array counts in every <= d_dual - 1 column set
-  lemma3  algebraic no-information test against the enumeration oracle
+  lemma3  algebraic no-information test against brute force: every
+          binary instance with n <= 4 and up to 3 receivers, each distinct
+          code checked per query by one grouped pass over its message
+          vectors, then 1000 seeded random instances against the public
+          conditional_block_entropy oracle
   thm3    distance-derived security floors, weight witnesses, list attacks
   thm4    guaranteed full recovery at strength n - d_dual + 1, with the
           one-reduction attack checked index by index against
@@ -252,86 +256,109 @@ def _all_queries(n: int) -> list[tuple[frozenset[int], frozenset[int]]]:
     return queries
 
 
-def _routes_disagree(code: LinearCode, known, block, observations, failures_out) -> bool:
-    """Compare the rank test against the oracle on every given observation.
-    Appends one failure dict and returns True at the first disagreement."""
-    n = code.length
-    query = SecurityQuery(n, known, block)
-    algebraic = has_no_information(code, query)
+def _routes_disagree(code: LinearCode, known, block, tallies) -> Optional[dict]:
+    """Compare the rank test against the oracle's block tallies.
+
+    `tallies` yields (x, counts) pairs in scan order, where counts is the
+    table of block values over every message vector that agrees with x on
+    the known set and in the broadcast. Returns the first failure (unequal
+    counts for some x, or the two routes disagreeing), or None."""
+    algebraic = has_no_information(code, SecurityQuery(code.length, known, block))
+    space = code.field.q ** len(block)
     oracle = True
-    for x, s in observations:
-        entropy = conditional_block_entropy(
-            code, query, {i: x[i - 1] for i in known}, s
-        )
-        if len(set(entropy.counts.values())) != 1:
-            failures_out.append({
+    for x, counts in tallies:
+        if len(set(counts.values())) != 1:
+            return {
                 "check": "unequal_counts", "generator": [list(r) for r in code.generator.entries],
                 "known": sorted(known), "block": sorted(block), "x": list(x),
-            })
-            return True
-        if not entropy.uniform:
+            }
+        if len(counts) < space:
             oracle = False
             break
     if algebraic != oracle:
-        failures_out.append({
+        return {
             "check": "routes_disagree", "generator": [list(r) for r in code.generator.entries],
             "field": {"p": code.field.p, "m": code.field.m},
             "known": sorted(known), "block": sorted(block),
             "algebraic": algebraic, "oracle": oracle,
-        })
-        return True
-    return False
+        }
+    return None
+
+
+def _grouped_tallies(known, block, observations) -> list[tuple[tuple[int, ...], dict]]:
+    """The oracle's count tables for every observation from one pass over
+    all message vectors: `observations` holds each (x, Gx) once, and x is
+    grouped by (x_K, Gx) with its block values tallied in the group. Pairs
+    every x, in the given order, with its group's table. Brute force only:
+    no rank, solve or span machinery."""
+    known_idx = [i - 1 for i in sorted(known)]
+    block_idx = [i - 1 for i in sorted(block)]
+    groups: dict[tuple, dict[tuple[int, ...], int]] = {}
+    tables = []
+    for x, s in observations:
+        counts = groups.setdefault((tuple(x[i] for i in known_idx), s), {})
+        values = tuple(x[i] for i in block_idx)
+        counts[values] = counts.get(values, 0) + 1
+        tables.append((x, counts))
+    return tables
+
+
+def _exhaustive_codes(n: int):
+    """Distinct broadcast codes of binary instances with n messages and up
+    to 3 receivers, under the indicator then the zero policy, in the order a
+    product walk over all n * 2^n receivers (demand, then side-information
+    mask) first meets them. A receiver matters only through its pair of
+    rows, and one whose side information holds its demand has no row, so
+    the walk runs over the distinct pairs alone. Distinct instances
+    overwhelmingly share their code, so row sets are deduplicated first and
+    reduced generators second."""
+    f2 = Field(2)
+    pairs = [
+        (mask | 1 << f, 1 << f)
+        for f in range(n)
+        for mask in range(1 << n)
+        if not mask >> f & 1
+    ]
+    seen_rowsets: set[frozenset[int]] = set()
+    swept: set[tuple] = set()
+    for m in range(1, 4):
+        for combo in itertools.product(pairs, repeat=m):
+            for policy in (0, 1):
+                masks = frozenset(pair[policy] for pair in combo)
+                if masks in seen_rowsets:
+                    continue
+                seen_rowsets.add(masks)
+                code = LinearCode.from_rows([
+                    Vector(f2, tuple(mask >> j & 1 for j in range(n)))
+                    for mask in sorted(masks)
+                ])
+                if code.generator.entries not in swept:
+                    swept.add(code.generator.entries)
+                    yield code
 
 
 def _suite_oracle_equivalence(seed: int, corpus: tuple[CorpusEntry, ...]) -> SuiteResult:
     cases = 0
-    failures: list[dict] = []
     f2 = Field(2)
 
     # Exhaustive half: every instance with n <= 4 and up to 3 receivers over
-    # F_2, under both default policies. Distinct instances overwhelmingly
-    # share their broadcast code, so dedupe first on the row set and then on
-    # the reduced generator, and sweep each distinct code once against all
-    # queries and all message vectors.
+    # F_2, under both default policies; each distinct code is swept once
+    # against all queries. Per query, one grouped pass over the 2^n message
+    # vectors gives the oracle's count table for every observation at once.
     for n in range(1, 5):
-        receiver_rows: dict[str, list] = {"indicator": [], "zero": []}
-        for f in range(1, n + 1):
-            for mask in range(1 << n):
-                if mask >> (f - 1) & 1:
-                    receiver_rows["indicator"].append(None)
-                    receiver_rows["zero"].append(None)
-                else:
-                    receiver_rows["indicator"].append(mask | 1 << (f - 1))
-                    receiver_rows["zero"].append(1 << (f - 1))
-        choice_count = n << n
         queries = _all_queries(n)
-        seen_rowsets: set[frozenset[int]] = set()
-        swept_codes: set[tuple] = set()
-        for m in range(1, 4):
-            for combo in itertools.product(range(choice_count), repeat=m):
-                for rows in (receiver_rows["indicator"], receiver_rows["zero"]):
-                    masks = frozenset(
-                        rows[i] for i in combo if rows[i] is not None
-                    )
-                    if not masks or masks in seen_rowsets:
-                        continue
-                    seen_rowsets.add(masks)
-                    code = LinearCode.from_rows([
-                        Vector(f2, tuple(mask >> j & 1 for j in range(n)))
-                        for mask in sorted(masks)
-                    ])
-                    key = code.generator.entries
-                    if key in swept_codes:
-                        continue
-                    swept_codes.add(key)
-                    observations = [
-                        (x, _broadcast(code, x))
-                        for x in itertools.product((0, 1), repeat=n)
-                    ]
-                    for known, block in queries:
-                        cases += 1
-                        if _routes_disagree(code, known, block, observations, failures):
-                            return _done("lemma3", cases, failures[0])
+        for code in _exhaustive_codes(n):
+            observations = [
+                (x, _broadcast(code, x).entries)
+                for x in itertools.product((0, 1), repeat=n)
+            ]
+            for known, block in queries:
+                cases += 1
+                failure = _routes_disagree(
+                    code, known, block, _grouped_tallies(known, block, observations)
+                )
+                if failure is not None:
+                    return _done("lemma3", cases, failure)
 
     # Random half: seeded instances with n in {5, 6} over F_2 and F_3,
     # mixing default policies with random confined choice vectors; one
@@ -373,9 +400,14 @@ def _suite_oracle_equivalence(seed: int, corpus: tuple[CorpusEntry, ...]) -> Sui
             rest = tuple(sorted(set(universe) - known))
             block = frozenset(rng.subset(rest, 1 + rng.below(len(rest))))
             x = tuple(rng.below(q) for _ in range(n))
+            entropy = conditional_block_entropy(
+                code, SecurityQuery(n, known, block),
+                {i: x[i - 1] for i in known}, _broadcast(code, x),
+            )
             cases += 1
-            if _routes_disagree(code, known, block, [(x, _broadcast(code, x))], failures):
-                return _done("lemma3", cases, failures[0])
+            failure = _routes_disagree(code, known, block, [(x, entropy.counts)])
+            if failure is not None:
+                return _done("lemma3", cases, failure)
     return _done("lemma3", cases, None)
 
 

@@ -379,6 +379,17 @@ class TestVerify:
         assert "thm1:" in result.stdout
         assert "pass" in result.stdout
 
+    def test_all_suites_pass_without_asserts(self):
+        result = run_cli("verify", "--suite", "all", interpreter_flags=("-O",))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (
+            "thm1: 112 cases, pass\n"
+            "thm2: 1052 cases, pass\n"
+            "lemma3: 7531 cases, pass\n"
+            "thm3: 447 cases, pass\n"
+            "thm4: 408 cases, pass\n"
+        )
+
     def test_corrupted_corpus_is_exit_6(self, tmp_path):
         generator = [
             [0, 0, 0, 0, 0, 1, 1],

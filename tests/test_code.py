@@ -254,6 +254,20 @@ class TestOrthogonalArray:
         assert counts[(0, 1)] == 0
         assert counts[(1, 1)] == 1
 
+    @pytest.mark.parametrize("r", (1, 2, 3))
+    def test_counts_match_a_per_word_loop(self, r):
+        # At r = 3 = d_dual some counts are uneven; every entry and the
+        # zero-filled key order are compared at each r.
+        rows = ((1, 0, 2, 1), (0, 1, 1, 1))
+        code = LinearCode(Matrix(F3, rows))
+        words = brute_span(F3, rows)
+        for positions in itertools.combinations(range(1, 5), r):
+            reference = {t: 0 for t in itertools.product(range(3), repeat=r)}
+            for w in words:
+                reference[tuple(w[j - 1] for j in positions)] += 1
+            counts = oa_tuple_counts(code, positions)
+            assert list(counts.items()) == list(reference.items())
+
     def test_tuple_space_guard(self):
         big = Field(8191)
         code = LinearCode(Matrix(big, ((1, 0, 1, 1), (0, 1, 1, 0))))

@@ -5,15 +5,18 @@ individual tests then assert on the shared results to keep the total
 runtime near a single pass over SUITE_NAMES.
 """
 
+import itertools
 import json
 
 import pytest
 
 import icsisec.code as code_module
 import icsisec.security as security_module
+import icsisec.verify as verify_module
 from icsisec.algebra import Field, Vector
 from icsisec.code import LinearCode
 from icsisec.icsi import MalformedInstanceError
+from icsisec.security import SecurityQuery, conditional_block_entropy
 from icsisec.verify import (
     SUITE_NAMES,
     CorpusEntry,
@@ -22,6 +25,9 @@ from icsisec.verify import (
     load_corpus,
     run_suite,
 )
+
+# Seed-0 case counts of the five suites.
+CASE_COUNTS = {"thm1": 112, "thm2": 1052, "lemma3": 7531, "thm3": 447, "thm4": 408}
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +44,7 @@ def test_suite_names_are_fixed(all_results):
 def test_every_suite_passes(all_results, name):
     result = all_results[name]
     assert result.ok, result.failures
-    assert result.cases > 0
+    assert result.cases == CASE_COUNTS[name]
     assert result.label
 
 
@@ -47,6 +53,62 @@ def test_exhaustive_small_instance_count(all_results):
     # with n <= 4 and m <= 3; each is queried against every (known, block)
     # split, giving 4531 exhaustive cases before the random half starts.
     assert all_results["lemma3"].cases == 4531 + 3000
+
+
+def _product_walk_keys(n):
+    """Generator keys the exhaustive half swept before it walked distinct
+    receiver row pairs: the full product over all n * 2^n receiver indices,
+    with None where a receiver's side information holds its demand."""
+    f2 = Field(2)
+    indicator, zero = [], []
+    for f in range(1, n + 1):
+        for mask in range(1 << n):
+            if mask >> (f - 1) & 1:
+                indicator.append(None)
+                zero.append(None)
+            else:
+                indicator.append(mask | 1 << (f - 1))
+                zero.append(1 << (f - 1))
+    seen_rowsets, keys = set(), []
+    for m in range(1, 4):
+        for combo in itertools.product(range(n << n), repeat=m):
+            for rows in (indicator, zero):
+                masks = frozenset(rows[i] for i in combo if rows[i] is not None)
+                if not masks or masks in seen_rowsets:
+                    continue
+                seen_rowsets.add(masks)
+                code = LinearCode.from_rows([
+                    Vector(f2, tuple(mask >> j & 1 for j in range(n)))
+                    for mask in sorted(masks)
+                ])
+                if code.generator.entries not in keys:
+                    keys.append(code.generator.entries)
+    return keys
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_exhaustive_codes_match_the_product_walk(n):
+    swept = [code.generator.entries for code in verify_module._exhaustive_codes(n)]
+    assert swept == _product_walk_keys(n)
+    assert len(swept) == {1: 1, 2: 4, 3: 15, 4: 65}[n]
+
+
+def test_grouped_tallies_match_the_oracle():
+    # Every exhaustive-half code with n <= 3, every query and every x.
+    for n in (1, 2, 3):
+        for code in verify_module._exhaustive_codes(n):
+            xs = list(itertools.product((0, 1), repeat=n))
+            broadcasts = [verify_module._broadcast(code, x) for x in xs]
+            observations = [(x, s.entries) for x, s in zip(xs, broadcasts)]
+            for known, block in verify_module._all_queries(n):
+                tallies = verify_module._grouped_tallies(known, block, observations)
+                assert [x for x, _ in tallies] == xs
+                query = SecurityQuery(n, known, block)
+                for (x, counts), s in zip(tallies, broadcasts):
+                    entropy = conditional_block_entropy(
+                        code, query, {i: x[i - 1] for i in known}, s
+                    )
+                    assert counts == entropy.counts
 
 
 def test_unknown_suite_rejected():
@@ -225,3 +287,36 @@ class TestFailureReporting:
         failure = result.failures[0]
         assert failure["check"] == "attack_route"
         assert failure["attack"] != failure["confined"]
+
+    # Expected failures were recorded with the product walk and one oracle
+    # walk per observation, before the grouped pass. Calls 1000 and 1003
+    # land in the exhaustive half (a true and a false rank answer), call
+    # 4600 in the random half.
+    @pytest.mark.parametrize(
+        "call,failure",
+        [
+            (1000, {"algebraic": False, "block": [1], "check": "routes_disagree",
+                    "field": {"m": 1, "p": 2}, "generator": [[0, 1, 0, 1]],
+                    "known": [4], "oracle": True}),
+            (1003, {"algebraic": True, "block": [4], "check": "routes_disagree",
+                    "field": {"m": 1, "p": 2}, "generator": [[0, 1, 0, 1]],
+                    "known": [2, 3], "oracle": False}),
+            (4600, {"algebraic": False, "block": [3], "check": "routes_disagree",
+                    "field": {"m": 1, "p": 2}, "generator": [[0, 0, 0, 0, 1]],
+                    "known": [4], "oracle": True}),
+        ],
+        ids=["exhaustive_true", "exhaustive_false", "random"],
+    )
+    def test_one_wrong_rank_answer_fails_routes_disagree(self, monkeypatch, call, failure):
+        original = verify_module.has_no_information
+        calls = 0
+
+        def wrong_once(code, query):
+            nonlocal calls
+            calls += 1
+            answer = original(code, query)
+            return not answer if calls == call else answer
+
+        monkeypatch.setattr(verify_module, "has_no_information", wrong_once)
+        result = run_suite("lemma3")
+        assert (result.cases, result.failures) == (call, (failure,))
