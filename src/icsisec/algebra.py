@@ -162,7 +162,9 @@ class Field:
             if poly is None:
                 coeffs = _least_irreducible(p, m)
             else:
-                coeffs = tuple(int(c) % p for c in poly)
+                coeffs = tuple(int(c) for c in poly)
+                if not all(0 <= c < p for c in coeffs):
+                    raise ValueError(f"reduction polynomial coefficients must lie in [0, {p})")
                 if len(coeffs) != m + 1 or coeffs[m] != 1:
                     raise ValueError(f"reduction polynomial must be monic of degree {m}")
                 if not _poly_is_irreducible(coeffs, p):

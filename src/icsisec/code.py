@@ -2,11 +2,12 @@
 
 The weight spectrum and the first codeword of each weight come from one
 explicit walk over the q^k codewords behind a q^k <= 2^24 guard. The dual
-distance comes from the same walk through the MacWilliams identity, in
-exact integer arithmetic, whenever k <= n - k; only a code with more
-codewords than its dual walks the (smaller) dual instead. Duals are
-nullspace bases; the orthogonal-array tuple count and the systematic
-Reed-Solomon construction support the security analysis layered on top.
+distance always comes from that same walk, through the MacWilliams
+identity in exact integer arithmetic; the dual code itself (a nullspace
+basis) is built only where a dual codeword is needed or where the
+transform is cross-checked. The orthogonal-array tuple count and the
+systematic Reed-Solomon construction support the security analysis
+layered on top.
 
 A LinearCode normalizes whatever spanning rows it is given to the reduced
 row echelon basis, so two equal row spaces always produce identical
@@ -20,12 +21,10 @@ from collections import Counter
 from functools import cached_property
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
-    DimensionMismatchError,
     Field,
-    FieldMismatchError,
     IndexOutOfRangeError,
     InconsistentSystemError,
     Matrix,
@@ -205,16 +204,14 @@ class LinearCode:
     def dual_distance(self) -> int:
         """Minimum distance of the dual; n + 1 by convention when k = n.
 
-        When k <= n - k the code has no more codewords than its dual, so
-        the dual's weight distribution comes from the code's own (cached)
-        walk through the MacWilliams identity; otherwise the smaller dual
-        is walked directly.
+        The dual's weight distribution comes from the code's own (cached)
+        walk through the MacWilliams identity, so the dual is never built
+        or walked here; the q^k guard therefore applies, however small the
+        dual is.
         """
         n, k = self.length, self.dimension
         if k == n:
             return n + 1
-        if k > n - k:
-            return self.dual.min_distance
         dual_counts = _macwilliams(self.weight_distribution, self.field.q, k)
         return next(w for w in range(1, n + 1) if dual_counts[w])
 
@@ -222,22 +219,6 @@ class LinearCode:
     def is_mds(self) -> bool:
         """Whether the Singleton bound d <= n - k + 1 is met with equality."""
         return self.min_distance == self.length - self.dimension + 1
-
-    def contains(self, vector: Vector) -> bool:
-        """Membership test by reduction against the canonical generator rows."""
-        if vector.field != self.field:
-            raise FieldMismatchError("vector lives in a different field")
-        if len(vector) != self.length:
-            raise DimensionMismatchError(f"expected length {self.length}, got {len(vector)}")
-        sub, mul = self.field.sub, self.field.mul
-        w = list(vector.entries)
-        for row, pc in zip(self.generator.entries, self.pivot_columns):
-            c = w[pc - 1]
-            if c:
-                for j in range(self.length):
-                    if row[j]:
-                        w[j] = sub(w[j], mul(c, row[j]))
-        return not any(w)
 
     def rank_of_columns(self, positions: Iterable[int]) -> int:
         """Rank of the generator submatrix on the given 1-based columns.

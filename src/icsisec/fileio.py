@@ -89,17 +89,13 @@ def _parse_field(obj: Any) -> Field:
     m = _as_int(obj.get("m", 1), "'field.m'")
     poly = obj.get("poly")
     if poly is not None:
-        poly = tuple(_as_int(c, "'field.poly'") for c in _as_index_list_allow_dups(poly))
+        if not isinstance(poly, list):
+            raise MalformedInstanceError(f"'field.poly' must be a list, got {poly!r}")
+        poly = tuple(_as_int(c, "'field.poly'") for c in poly)
     try:
         return Field(p, m, poly=poly)
     except (AlgebraError, ValueError) as exc:
         raise MalformedInstanceError(f"bad field: {exc}") from exc
-
-
-def _as_index_list_allow_dups(value: Any) -> list[int]:
-    if not isinstance(value, list):
-        raise MalformedInstanceError(f"expected a list, got {value!r}")
-    return [_as_int(v, "'field.poly' entry") for v in value]
 
 
 def parse_instance(doc: Any) -> LoadedInstance:
@@ -157,7 +153,7 @@ def parse_instance(doc: Any) -> LoadedInstance:
                 raise MalformedInstanceError(f"choice vector {j}: {exc}") from exc
         expanded: list[Vector] = []
         for j, wanted in enumerate(demand_sets):
-            expanded.extend([per_file[j]] * len(sorted(set(wanted))))
+            expanded.extend([per_file[j]] * len(wanted))
         vectors = tuple(expanded)
     else:
         raise MalformedInstanceError(

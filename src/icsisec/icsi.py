@@ -238,11 +238,16 @@ def decode_receiver(
     """Recover the receiver's demanded message value.
 
     side_values must cover the receiver's side-info set (1-based index to
-    canonical value). Raises NotDecodableError when the scheme contains no
-    decoding combination for this receiver.
+    canonical value); an index outside [1, n] raises IndexOutOfRangeError.
+    Raises NotDecodableError when the scheme contains no decoding
+    combination for this receiver.
     """
     y, u = decoding_plan(scheme, receiver)
     field = scheme.field
+    n = scheme.instance.n
+    for i in side_values:
+        if not 1 <= i <= n:
+            raise IndexOutOfRangeError(f"side index {i} outside [1, {n}]")
     if broadcast.field != field:
         raise FieldMismatchError("broadcast lives in a different field")
     if len(broadcast) != scheme.code.dimension:

@@ -13,21 +13,21 @@ the largest block size hidden from every strength-t adversary is
 max(0, d - 1 - t), and every index is recovered exactly from strength
 n - d_dual + 1 on (both bounds are tight for linear codes). Two independent
 slow routes answer the same questions and serve as cross-checks: the rank
-sweeps (block_security_level, and the known-set scan whose first hit is
-also an exhaustive report's counterexample), and a brute-force oracle that
-enumerates every message vector consistent with the observation and
-tallies the conditional distribution of the block
-(conditional_block_entropy never looks at ranks). All decisions are made
-on exact integer counts, never on floating-point entropy values.
+sweep block_security_level, and a brute-force oracle that enumerates every
+message vector consistent with the observation and tallies the conditional
+distribution of the block (conditional_block_entropy never looks at
+ranks). All decisions are made on exact integer counts, never on
+floating-point entropy values.
 
 On top of the verdicts sit the constructive results: witnesses that break
 weak security one strength past the guarantee, the candidate-list attack
 with its exact q^(n-t-k) size, and the full-recovery attack that sets in at
 strength n - d_dual + 1. Both attacks read everything from one row
 reduction of [G_U | s'], where U is the unknown columns and s' = s - G_K x_K
-is the broadcast with the known messages removed; the per-index linear
-solves of LinearCode.confined_combination stay as their slow route in the
-thm4 suite.
+is the broadcast with the known messages removed. The same reduction on a
+zero observation finds and confirms every report counterexample; the
+per-index solves of LinearCode.confined_combination stay as the attack's
+slow route in the thm4 suite.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .algebra import (
     DimensionMismatchError,
@@ -282,10 +282,12 @@ def weak_security_witness(code: LinearCode, strength: int) -> Optional[WeakSecur
     exposed = support[-1]
     scale = field.inv(cw[exposed - 1])
     normalized = tuple(field.mul(scale, v) for v in cw)
-    if not code.contains(Vector(field, normalized)):
+    # The generator is in reduced row echelon form, so a codeword is the
+    # combination of the rows given by its values at the pivot columns.
+    coefficients = Vector(field, tuple(normalized[p - 1] for p in code.pivot_columns))
+    if code.generator.left_times(coefficients).entries != normalized:
         raise TheoremViolationError(f"weight-{strength + 1} witness is not a codeword")
     u = Vector(field, normalized) - unit_vector(exposed, n, field)
-    coefficients = Vector(field, tuple(normalized[p - 1] for p in code.pivot_columns))
     return WeakSecurityWitness(
         known=frozenset(support[:-1]),
         exposed=exposed,
@@ -411,8 +413,11 @@ def complete_insecurity_attack(code: LinearCode, view: AdversaryView) -> AttackO
     every index. At strength n - d_dual + 1 and above, every index is
     recovered for every choice of known set.
     """
-    known = _checked_view(code, view)
-    unknown, reduced, pivots = _reduce_unknowns(code, known, view.broadcast)
+    return _attack(code, _checked_view(code, view), view.broadcast)
+
+
+def _attack(code: LinearCode, known: Mapping[int, int], broadcast: Vector) -> AttackOutcome:
+    unknown, reduced, pivots = _reduce_unknowns(code, known, broadcast)
     width = len(unknown)
     values = {
         unknown[c]: row[width]
@@ -461,18 +466,23 @@ class SecurityReport:
     strengths: tuple[StrengthVerdict, ...]
 
 
+def _hidden_from(code: LinearCode, known: Iterable[int]) -> tuple[int, ...]:
+    """The indices an adversary holding `known` cannot recover, ascending; they
+    do not depend on the observed values, so a zero observation stands in."""
+    zero = Vector.zero(code.field, code.dimension)
+    return _attack(code, dict.fromkeys(known, 0), zero).resisted
+
+
 def _complete_insecurity_exhaustive(
     code: LinearCode, strength: int
-) -> tuple[bool, Optional[RecoveryCounterexample]]:
-    n = code.length
-    for known in itertools.combinations(range(1, n + 1), strength):
-        known_set = frozenset(known)
-        for i in range(1, n + 1):
-            if i in known_set:
-                continue
-            if code.confined_combination(known_set, i) is None:
-                return False, RecoveryCounterexample(known=known_set, resisted=i)
-    return True, None
+) -> Optional[RecoveryCounterexample]:
+    """The first strength-t known set, in combinations order, that leaves an
+    index hidden, with its first hidden index; None when there is none."""
+    for known in itertools.combinations(range(1, code.length + 1), strength):
+        hidden = _hidden_from(code, known)
+        if hidden:
+            return RecoveryCounterexample(known=frozenset(known), resisted=hidden[0])
+    return None
 
 
 def _dual_counterexample(code: LinearCode, strength: int) -> RecoveryCounterexample:
@@ -501,12 +511,13 @@ def security_report(
     Verdicts are exact in both modes and follow from (d, d_dual): the
     measured block level at strength t is max(0, d - 1 - t), and complete
     insecurity holds exactly from t = n - d_dual + 1. Below that threshold
-    each strength carries a counterexample, checked by one linear solve.
-    For n <= EXHAUSTIVE_SWEEP_LIMIT the report is "exhaustive" and the
-    counterexample is the first hit of the known-set scan. Beyond that an
-    exhaustive report is refused unless sampled=True; the report is then
-    marked "sampled" and the counterexample is built from the dual's first
-    minimum-weight codeword. The seed is recorded but changes no verdict.
+    each strength carries a counterexample, confirmed by the attack's row
+    reduction. For n <= EXHAUSTIVE_SWEEP_LIMIT the report is "exhaustive"
+    and the counterexample is the first hit of the known-set scan. Beyond
+    that an exhaustive report is refused unless sampled=True; the report is
+    then marked "sampled" and the counterexample is built from the dual's
+    first minimum-weight codeword. The seed is recorded but changes no
+    verdict.
     """
     n = code.length
     d = code.min_distance
@@ -527,14 +538,12 @@ def security_report(
         counterexample = None
         if not complete:
             if mode == "exhaustive":
-                contradicted, counterexample = _complete_insecurity_exhaustive(code, t)
+                counterexample = _complete_insecurity_exhaustive(code, t)
             else:
                 counterexample = _dual_counterexample(code, t)
-                contradicted = (
-                    code.confined_combination(counterexample.known, counterexample.resisted)
-                    is not None
-                )
-            if contradicted:
+                if counterexample.resisted not in _hidden_from(code, counterexample.known):
+                    counterexample = None
+            if counterexample is None:
                 raise TheoremViolationError(
                     f"strength {t} is below n - d_dual + 1 = {threshold}, "
                     "yet no hidden index was found"

@@ -96,6 +96,8 @@ class TestField:
             Field(2, 3, poly=(1, 1, 1))  # degree does not match m
         with pytest.raises(ReduciblePolynomialError):
             Field(2, 3, poly=(1, 1, 1, 1))  # 1 + x + x^2 + x^3 has root 1
+        with pytest.raises(ValueError):
+            Field(2, 3, poly=(1, 1, 0, 3))  # 3 is not an element of F_2
 
     def test_largest_allowed_field(self):
         field = Field(251)

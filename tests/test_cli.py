@@ -9,6 +9,8 @@ covered at library level in test_icsi.py.
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -453,6 +455,25 @@ class TestInputBoundary:
         assert out == ""
         assert "choice vector 1" in err
 
+    @pytest.mark.parametrize("index", ["99", "0"])
+    def test_out_of_range_side_index_is_exit_2(self, capsys, index):
+        code, out, err = call_main(
+            capsys, "decode", str(INSTANCES / "hamming7.json"), "--receiver", "5",
+            "--broadcast", "0,1,1,1", "--side", f"1=0,2=0,6=0,{index}=1",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"side index {index} outside [1, 7]" in err
+
+    def test_out_of_range_poly_coefficient_is_exit_2(self, tmp_path, capsys):
+        # 3 is not an element of F_2; it must not be read as 3 mod 2 = 1.
+        field = {"p": 2, "m": 3, "poly": [3, 1, 0, 1]}
+        path = write_doc(tmp_path, "poly.json", {**THIN, "field": field})
+        code, out, err = call_main(capsys, "analyze", path)
+        assert code == 2
+        assert out == ""
+        assert "bad field" in err
+
 
 class TestCachedParser:
     def test_calls_in_a_row_share_no_state(self, monkeypatch, capsys):
@@ -482,3 +503,26 @@ class TestCachedParser:
         finally:
             cli._parser.cache_clear()
         assert len(built) == 1
+
+
+def readme_commands():
+    """The `icsisec` lines of the README's "Command line" example block,
+    with backslash continuations joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("icsisec ")]
+
+
+class TestReadme:
+    def test_command_line_examples_exit_0(self, monkeypatch, capsys):
+        commands = readme_commands()
+        assert len(commands) == 5
+        monkeypatch.chdir(ROOT)
+        for argv in commands:
+            # The full verify run is covered by test_all_suites_pass_without_asserts.
+            if argv == ["verify", "--suite", "all"]:
+                continue
+            code, out, err = call_main(capsys, *argv)
+            assert code == 0, (argv, err)
+            assert out

@@ -21,8 +21,9 @@ from icsisec.security import (
     InconsistentObservationError,
     ListTooLargeError,
     RankDeficientError,
+    RecoveryCounterexample,
     SecurityQuery,
-    _complete_insecurity_exhaustive,
+    TheoremViolationError,
     block_security_level,
     complete_insecurity_attack,
     conditional_block_entropy,
@@ -54,6 +55,18 @@ def identity3():
 
 def broadcast_of(code, x):
     return code.generator.times_col(Vector(code.field, x))
+
+
+def confined_scan(code, strength):
+    """Reference known-set scan, one confined_combination solve per (K, i):
+    the first strength-t known set in combinations order that leaves some
+    index hidden, with its first hidden index; None when there is none."""
+    n = code.length
+    for known in itertools.combinations(range(1, n + 1), strength):
+        for i in range(1, n + 1):
+            if i not in known and code.confined_combination(known, i) is None:
+                return RecoveryCounterexample(known=frozenset(known), resisted=i)
+    return None
 
 
 class TestSecurityQuery:
@@ -424,9 +437,9 @@ class TestClosedFormLadder:
             report = security_report(code)
             for v in report.strengths:
                 t = v.strength
-                complete, counterexample = _complete_insecurity_exhaustive(code, t)
+                counterexample = confined_scan(code, t)
                 assert v.measured_block_level == block_security_level(code, t), (entry.name, t)
-                assert v.completely_insecure == complete, (entry.name, t)
+                assert v.completely_insecure == (counterexample is None), (entry.name, t)
                 assert v.complete_counterexample == counterexample, (entry.name, t)
 
     def test_sampled_counterexamples_hide_their_index(self):
@@ -457,16 +470,48 @@ class TestClosedFormLadder:
     )
     def test_stress_codes_run_no_sweeps(self, monkeypatch, rows):
         calls = Counter()
-        for name in ("rank_of_columns", "confined_combination"):
-            original = getattr(LinearCode, name)
+        for owner, name in (
+            (LinearCode, "rank_of_columns"),
+            (LinearCode, "confined_combination"),
+            (security_module, "_reduce_unknowns"),
+        ):
+            original = getattr(owner, name)
 
-            def counted(self, *args, _name=name, _original=original, **kwargs):
+            def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
-                return _original(self, *args, **kwargs)
+                return _original(*args, **kwargs)
 
-            monkeypatch.setattr(LinearCode, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         code = LinearCode(Matrix(F2, rows))
         report = security_report(code)
         assert report.mode == "exhaustive"
         assert calls["rank_of_columns"] == 0
-        assert calls["confined_combination"] <= 2 * code.length
+        assert calls["confined_combination"] == 0
+        assert calls["_reduce_unknowns"] <= 2 * code.length
+
+
+class TestTheoremViolation:
+    """A direct check that contradicts the distance theorems raises."""
+
+    def test_non_codeword_witness_raises(self):
+        code = hamming()
+        counts, firsts = code._spectrum
+        # Weight 3 but not a codeword: rows 1 + 2 give (1, 1, 0, 0, 1, 1, 0).
+        code.__dict__["_spectrum"] = (counts, {**firsts, 3: (1, 1, 0, 0, 0, 0, 1)})
+        with pytest.raises(TheoremViolationError):
+            weak_security_witness(code, 2)
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+    def test_every_index_recovered_raises(self, monkeypatch, sampled):
+        def all_recovered(code, known, broadcast):
+            unknown = [j for j in range(1, code.length + 1) if j not in known]
+            width = len(unknown)
+            rows = [[int(c == r) for c in range(width)] + [0] for r in range(width)]
+            return unknown, rows, list(range(width))
+
+        monkeypatch.setattr(security_module, "_reduce_unknowns", all_recovered)
+        if sampled:
+            # Past the limit, hamming7's report is built in sampled mode.
+            monkeypatch.setattr(security_module, "EXHAUSTIVE_SWEEP_LIMIT", 6)
+        with pytest.raises(TheoremViolationError):
+            security_report(hamming(), sampled=sampled)
