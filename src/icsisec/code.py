@@ -1,13 +1,13 @@
 """Linear [n, k] block codes over a finite field.
 
 The weight spectrum and the first codeword of each weight come from one
-explicit walk over the q^k codewords behind a q^k <= 2^24 guard. The dual
-distance always comes from that same walk, through the MacWilliams
-identity in exact integer arithmetic; the dual code itself (a nullspace
-basis) is built only where a dual codeword is needed or where the
-transform is cross-checked. The orthogonal-array tuple count and the
-systematic Reed-Solomon construction support the security analysis
-layered on top.
+explicit walk over the code, in q^(k-1) fibers of q codewords, behind a
+q^k <= 2^24 guard. The dual distance always comes from that same walk,
+through the MacWilliams identity in exact integer arithmetic; the dual
+code itself (a nullspace basis) is built only where a dual codeword is
+needed or where the transform is cross-checked. The orthogonal-array
+tuple count and the systematic Reed-Solomon construction support the
+security analysis layered on top.
 
 A LinearCode normalizes whatever spanning rows it is given to the reduced
 row echelon basis, so two equal row spaces always produce identical
@@ -161,16 +161,37 @@ class LinearCode:
 
     @cached_property
     def _spectrum(self) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
-        # One walk over codewords() serves both weight_distribution and
-        # first_of_weight.
-        n = self.length
+        # One walk serves both weight_distribution and first_of_weight. It
+        # runs over q^(k-1) fibers of q codewords: b + c*r0 for c = 0..q-1,
+        # where r0 is generator row 0 and b walks span(rows[1:]). Row 0 is
+        # the lowest odometer digit of iterate_span, so each fiber is q
+        # consecutive codewords of codewords() order. A coordinate with
+        # r0[j] != 0 vanishes for exactly one c, -b[j]/r0[j]; `zeros[c]`
+        # counts them, and wt(b + c*r0) = wt(b) + zeros[0] - zeros[c].
+        # A codeword is built only where its weight first appears.
+        self._check_enumerable(self.dimension)
+        field = self.field
+        n, q = self.length, field.q
+        rows = self.generator.entries
+        r0 = rows[0]
+        add, mul, neg = field.add, field.mul, field.neg
+        roots = []
+        for j in range(n):
+            if r0[j]:
+                scale = field.inv(r0[j])
+                roots.append((j, tuple(mul(neg(v), scale) for v in range(q))))
         counts = [0] * (n + 1)
         firsts: dict[int, tuple[int, ...]] = {}
-        for cw in self.codewords():
-            w = n - cw.count(0)
-            if w and not counts[w]:
-                firsts[w] = cw
-            counts[w] += 1
+        for b in iterate_span(field, rows[1:], n):
+            zeros = [0] * q
+            for j, root in roots:
+                zeros[root[b[j]]] += 1
+            base = n - b.count(0) + zeros[0]
+            for c in range(q):
+                w = base - zeros[c]
+                if not counts[w] and w:
+                    firsts[w] = tuple(add(b[j], mul(c, r0[j])) for j in range(n))
+                counts[w] += 1
         return tuple(counts), firsts
 
     @property

@@ -4,7 +4,9 @@ Five suites, named after the facts they exercise (the CLI exposes the
 names thm1 .. thm4 and lemma3):
 
   thm1    singleton bound, MDS consistency, the MacWilliams dual spectrum
-          against a walk of the dual, and per-code distance claims
+          against a walk of the dual, the fiber-walked spectrum and first
+          codeword of each weight against a plain walk over every codeword,
+          and per-code distance claims
   thm2    orthogonal-array counts in every <= d_dual - 1 column set
   lemma3  algebraic no-information test against brute force: every
           binary instance with n <= 4 and up to 3 receivers, each distinct
@@ -137,7 +139,7 @@ def load_corpus(path: str) -> tuple[CorpusEntry, ...]:
     {"codes": [{"name": ..., "field": {"p": ..., "m": ..., "poly": ...},
                 "generator": [[...], ...], "claims": {"d": ..., "d_dual": ...}}]}
     """
-    from .fileio import _parse_field, _require_keys
+    from .fileio import _as_int, _parse_field, _require_keys
 
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -162,6 +164,8 @@ def load_corpus(path: str) -> tuple[CorpusEntry, ...]:
         claims = item.get("claims", {})
         if not isinstance(claims, dict) or set(claims) - {"d", "d_dual"}:
             raise MalformedInstanceError(f"corpus code {i}: claims may set only d and d_dual")
+        for key, value in claims.items():
+            _as_int(value, f"corpus code {i}: claim {key}")
         entries.append(CorpusEntry(str(item["name"]), code, dict(claims)))
     return tuple(entries)
 
@@ -173,7 +177,7 @@ def _broadcast(code: LinearCode, x: tuple[int, ...]) -> Vector:
 def _macwilliams_mismatch(code: LinearCode) -> Optional[dict]:
     """Where the dual fits the enumeration guard, check the MacWilliams
     transform of the code's weight distribution, and the dual distance read
-    from it, against a walk over the dual's own codewords. Returns the
+    from it, against the dual's own walked spectrum. Returns the
     disagreement, or None when they agree or the dual is too big to walk."""
     n, k, q = code.length, code.dimension, code.field.q
     if k == n or q ** (n - k) > MAX_ENUMERATION:
@@ -188,6 +192,29 @@ def _macwilliams_mismatch(code: LinearCode) -> Optional[dict]:
             "transformed": list(transformed), "walked": list(walked),
             "d_dual": code.dual_distance, "walked_d_dual": code.dual.min_distance,
         }
+    return None
+
+
+def _spectrum_mismatch(code: LinearCode) -> Optional[dict]:
+    """Check the code's weight distribution and first codeword of each
+    weight, entries and order, against a plain walk over codewords() that
+    looks at every codeword. Returns the first disagreement, or None."""
+    n = code.length
+    counts = [0] * (n + 1)
+    firsts: dict[int, tuple[int, ...]] = {}
+    for word in code.codewords():
+        w = n - word.count(0)
+        if w and not counts[w]:
+            firsts[w] = word
+        counts[w] += 1
+    if tuple(counts) != code.weight_distribution:
+        return {"distribution": list(code.weight_distribution), "walked": counts}
+    for got, walked in itertools.zip_longest(code.first_of_weight.items(), firsts.items()):
+        if got != walked:
+            return {
+                "first": None if got is None else [got[0], list(got[1])],
+                "walked_first": None if walked is None else [walked[0], list(walked[1])],
+            }
     return None
 
 
@@ -210,6 +237,9 @@ def _suite_singleton(seed: int, corpus: tuple[CorpusEntry, ...]) -> SuiteResult:
         mismatch = _macwilliams_mismatch(code)
         if mismatch is not None:
             return _done("thm1", cases, {"code": entry.name, "check": "macwilliams", **mismatch})
+        mismatch = _spectrum_mismatch(code)
+        if mismatch is not None:
+            return _done("thm1", cases, {"code": entry.name, "check": "spectrum", **mismatch})
         measured = {"d": d, "d_dual": code.dual_distance}
         for key, claimed in sorted(entry.claims.items()):
             cases += 1

@@ -425,6 +425,21 @@ class TestVerify:
         assert "Traceback" not in result.stderr
         assert "corpus code 1" in result.stderr
 
+    @pytest.mark.parametrize("claim", ["2", None, 2.0, True], ids=["str", "null", "float", "bool"])
+    def test_non_integer_claim_is_exit_2(self, tmp_path, capsys, claim):
+        path = write_doc(tmp_path, "claims.json", {
+            "codes": [{
+                "name": "repetition",
+                "field": {"p": 2},
+                "generator": [[1, 1, 1]],
+                "claims": {"d": claim},
+            }]
+        })
+        code, out, err = call_main(capsys, "verify", "--suite", "thm1", "--corpus", path)
+        assert code == 2
+        assert out == ""
+        assert "corpus code 1: claim d must be an integer" in err
+
     def test_unknown_suite_is_exit_2(self):
         assert run_cli("verify", "--suite", "thm9").returncode == 2
 

@@ -11,6 +11,7 @@ from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import icsisec.code as code_module
 from icsisec.algebra import Field, Matrix, Vector
@@ -202,6 +203,77 @@ class TestConfinedCombination:
         assert found is not None
         _, c = found
         assert c.at(1) == 1
+
+
+def plain_spectrum(code):
+    """(counts, firsts) from a walk over every codeword, built from its
+    coefficient tuple with raw field arithmetic. Coefficient i is base-q
+    digit i of the walk index, row 0 the least significant, which is
+    codewords() order."""
+    field = code.field
+    rows = code.generator.entries
+    n = code.length
+    counts = [0] * (n + 1)
+    firsts = {}
+    for digits in itertools.product(range(field.q), repeat=len(rows)):
+        word = [0] * n
+        for c, row in zip(reversed(digits), rows):
+            for j in range(n):
+                word[j] = field.add(word[j], field.mul(c, row[j]))
+        w = sum(1 for v in word if v)
+        if w and not counts[w]:
+            firsts[w] = tuple(word)
+        counts[w] += 1
+    return tuple(counts), firsts
+
+
+SPECTRUM_FIELDS = (F2, F3, Field(2, 2), Field(5), F8, Field(3, 2))
+SPECTRUM_WORDS = 2048
+
+
+@st.composite
+def small_codes(draw):
+    field = draw(st.sampled_from(SPECTRUM_FIELDS))
+    n = draw(st.integers(1, 7))
+    k_max = max(k for k in range(1, n + 1) if field.q ** k <= SPECTRUM_WORDS)
+    k = draw(st.integers(1, k_max))
+    rows = draw(st.lists(
+        st.tuples(*[st.integers(0, field.q - 1)] * n), min_size=k, max_size=k,
+    ))
+    assume(any(any(row) for row in rows))
+    return LinearCode(Matrix(field, tuple(rows)))
+
+
+class TestFiberSpectrum:
+    """The fiber walk behind weight_distribution and first_of_weight against
+    a plain walk over every codeword: equal counts, equal first codewords,
+    and the same dict order."""
+
+    def check(self, code):
+        counts, firsts = plain_spectrum(code)
+        assert code.weight_distribution == counts
+        assert list(code.first_of_weight.items()) == list(firsts.items())
+
+    @settings(deadline=None, derandomize=True, max_examples=120)
+    @given(small_codes())
+    def test_random_codes(self, code):
+        self.check(code)
+
+    @pytest.mark.parametrize(
+        "field,rows",
+        [
+            (F3, ((1, 2, 0, 1),)),
+            (F8, ((3, 0, 5, 7, 0),)),
+            (Field(3, 2), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+            (Field(5), ((1, 0, 0, 4, 0, 2, 0), (0, 1, 0, 0, 3, 0, 0), (0, 0, 1, 1, 1, 1, 1))),
+            (Field(2, 2), ((1, 0, 0, 0, 2, 0), (0, 1, 0, 3, 0, 1), (0, 0, 1, 1, 1, 0))),
+        ],
+        ids=["k1-F3", "k1-GF8-zeros", "k=n-GF9", "dead-coordinates-F5", "dead-coordinates-GF4"],
+    )
+    def test_edge_codes(self, field, rows):
+        code = LinearCode(Matrix(field, rows))
+        assert code.dimension == len(rows)
+        self.check(code)
 
 
 class TestBruteWeightOracle:

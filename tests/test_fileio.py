@@ -1,12 +1,16 @@
 """Instance parsing and report serialization tests."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from icsisec.algebra import Field, Matrix, Vector
-from icsisec.code import LinearCode
+from icsisec.code import LinearCode, reed_solomon_code
 from icsisec.fileio import (
     TOOL_VERSION,
     dumps_report,
@@ -173,3 +177,47 @@ class TestReportSerialization:
                 encoding="utf-8"
             )
             assert dumps_report(report, scheme.code) == golden
+
+
+# SHA-256 of dumps_report(security_report(code), code) for Reed-Solomon
+# codes over fields the goldens do not cover: GF(16), GF(9) (an odd
+# characteristic extension) and F11.
+RS_REPORT_DIGESTS = {
+    "rs8_4_gf16": ((2, 4, (1, 1, 0, 0, 1)), 8, 4,
+                   "7af49fdadbe1bcd79944e8cfffaa32b7e1ef846a911afc9992e773a85b5e85d7"),
+    "rs8_4_gf9": ((3, 2, (1, 0, 1)), 8, 4,
+                  "6fbd548dfc7c842eb955d7355e3183557d3fa353f3c86a5b0ff39b3e12bfd5dd"),
+    "rs9_3_f11": ((11,), 9, 3,
+                  "09f64d44382aa6bfd52155140feda6d4fe31022397e4fe7ac8872e9a6b110507"),
+}
+
+DIGEST_SCRIPT = """
+import hashlib, json, sys
+from icsisec.algebra import Field
+from icsisec.code import reed_solomon_code
+from icsisec.fileio import dumps_report
+from icsisec.security import security_report
+field_args, n, k = json.loads(sys.argv[1])
+code = reed_solomon_code(n, k, Field(*field_args))
+print(hashlib.sha256(dumps_report(security_report(code), code).encode("utf-8")).hexdigest())
+"""
+
+
+class TestReportDigests:
+    @pytest.mark.parametrize("name", sorted(RS_REPORT_DIGESTS))
+    def test_report_bytes_are_pinned(self, name):
+        field_args, n, k, digest = RS_REPORT_DIGESTS[name]
+        code = reed_solomon_code(n, k, Field(*field_args))
+        text = dumps_report(security_report(code), code)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_report_bytes_are_pinned_without_asserts(self):
+        env = dict(os.environ)
+        env.setdefault("PYTHONPATH", str(ROOT / "src"))
+        for field_args, n, k, digest in RS_REPORT_DIGESTS.values():
+            result = subprocess.run(
+                [sys.executable, "-O", "-c", DIGEST_SCRIPT, json.dumps([field_args, n, k])],
+                capture_output=True, text=True, cwd=str(ROOT), env=env,
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.strip() == digest

@@ -257,8 +257,8 @@ class TestWeakSecurityWitness:
                     witness.combination.dot(Vector(field, x)),
                 )
                 assert recovered == x[witness.exposed - 1]
-            # one codeword walk serves the distribution and every witness
-            assert walks == {"calls": 1, "yields": field.q ** code.dimension}
+            # one walk of q^(k-1) fibers serves the distribution and every witness
+            assert walks == {"calls": 1, "yields": field.q ** (code.dimension - 1)}
 
     def test_full_weight_witness(self):
         code = LinearCode.from_rows([Vector(F2, (1, 1, 1))])
@@ -420,6 +420,25 @@ class TestSecurityReport:
         assert report.insecurity_threshold == 14
         # the repetition structure is still visible to sampling
         assert report.strengths[0].measured_block_level == 14
+
+    def test_report_walks_one_fiber_per_base_word(self, monkeypatch):
+        # The spectrum walks span(rows[1:]) once, q codewords per step:
+        # RS [8, 4] over GF(16) takes 16^3 steps, not 16^4.
+        walks = Counter()
+        original = code_module.iterate_span
+
+        def counted(*args, **kwargs):
+            walks["calls"] += 1
+            for vector in original(*args, **kwargs):
+                walks["yields"] += 1
+                yield vector
+
+        monkeypatch.setattr(code_module, "iterate_span", counted)
+        monkeypatch.setattr(security_module, "iterate_span", counted)
+        code = reed_solomon_code(8, 4, Field(2, 4, (1, 1, 0, 0, 1)))
+        report = security_report(code)
+        assert (report.min_distance, report.dual_distance) == (5, 5)
+        assert walks == {"calls": 1, "yields": 16 ** 3}
 
     def test_levels_nonincreasing_in_strength(self):
         for code in (hamming(), reed_solomon_code(7, 3, Field(2, 3))):

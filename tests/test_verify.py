@@ -255,6 +255,25 @@ class TestFailureReporting:
         assert (failure["code"], failure["check"]) == ("corrupt", "macwilliams")
         assert failure["walked"] == [1, 0, 3, 0]
 
+    def test_later_first_of_weight_fails_spectrum(self):
+        # Hamming [7, 4] whose weight-3 witness is swapped for a later
+        # weight-3 codeword: the counts, and so MacWilliams, still hold.
+        code = LinearCode.from_rows([Vector(Field(2), row) for row in (
+            (1, 0, 0, 0, 0, 1, 1), (0, 1, 0, 0, 1, 0, 1),
+            (0, 0, 1, 0, 1, 1, 0), (0, 0, 0, 1, 1, 1, 1),
+        )])
+        counts, firsts = code._spectrum
+        later = [w for w in code.codewords() if sum(map(bool, w)) == 3][1]
+        assert later != firsts[3]
+        code.__dict__["_spectrum"] = (counts, {**firsts, 3: later})
+        result = run_suite("thm1", extra=(CorpusEntry("swapped", code, {}),))
+        assert not result.ok
+        assert result.cases == run_suite("thm1").cases + 2
+        failure = result.failures[0]
+        assert (failure["code"], failure["check"]) == ("swapped", "spectrum")
+        assert failure["first"] == [3, list(later)]
+        assert failure["walked_first"] == [3, list(firsts[3])]
+
     def test_corrupted_transform_fails_macwilliams(self, monkeypatch):
         original = code_module._macwilliams
 
