@@ -111,6 +111,19 @@ def iterate_span(
         yield tuple(current)
 
 
+def _fiber_roots(field: Field, r0: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """(j, root) for each coordinate j with r0[j] != 0, where root[v] =
+    -v / r0[j]: the fiber word b + c*r0 vanishes at j exactly for
+    c = root[b[j]]."""
+    mul, neg = field.mul, field.neg
+    roots = []
+    for j, r in enumerate(r0):
+        if r:
+            scale = field.inv(r)
+            roots.append((j, tuple(mul(neg(v), scale) for v in range(field.q))))
+    return roots
+
+
 class LinearCode:
     """A linear code with a canonical (reduced row echelon) generator matrix."""
 
@@ -174,12 +187,8 @@ class LinearCode:
         n, q = self.length, field.q
         rows = self.generator.entries
         r0 = rows[0]
-        add, mul, neg = field.add, field.mul, field.neg
-        roots = []
-        for j in range(n):
-            if r0[j]:
-                scale = field.inv(r0[j])
-                roots.append((j, tuple(mul(neg(v), scale) for v in range(q))))
+        add, mul = field.add, field.mul
+        roots = _fiber_roots(field, r0)
         counts = [0] * (n + 1)
         firsts: dict[int, tuple[int, ...]] = {}
         for b in iterate_span(field, rows[1:], n):

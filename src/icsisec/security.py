@@ -25,9 +25,15 @@ with its exact q^(n-t-k) size, and the full-recovery attack that sets in at
 strength n - d_dual + 1. Both attacks read everything from one row
 reduction of [G_U | s'], where U is the unknown columns and s' = s - G_K x_K
 is the broadcast with the known messages removed. The same reduction on a
-zero observation finds and confirms every report counterexample; the
-per-index solves of LinearCode.confined_combination stay as the attack's
-slow route in the thm4 suite.
+zero observation confirms every report counterexample; the per-index
+solves of LinearCode.confined_combination stay as the attack's slow route
+in the thm4 suite.
+
+A report counterexample has one definition at every n: the first
+strength-t known set, in combinations order, that leaves an index hidden.
+Below t = n - k it is {1..t}. The strengths from n - k to the threshold
+are found by the known-set scan up to EXHAUSTIVE_SWEEP_LIMIT and by one
+walk of the dual beyond it, and thm1 checks the walk against the scan.
 """
 
 from __future__ import annotations
@@ -46,7 +52,13 @@ from .algebra import (
     _rref_raw,
     unit_vector,
 )
-from .code import LinearCode, TooLargeToEnumerateError, iterate_span
+from .code import (
+    MAX_ENUMERATION,
+    LinearCode,
+    TooLargeToEnumerateError,
+    _fiber_roots,
+    iterate_span,
+)
 
 EXHAUSTIVE_SWEEP_LIMIT = 14
 ORACLE_SPACE_LIMIT = 1 << 20
@@ -485,19 +497,76 @@ def _complete_insecurity_exhaustive(
     return None
 
 
-def _dual_counterexample(code: LinearCode, strength: int) -> RecoveryCounterexample:
-    """A strength-t known set that leaves an index hidden, for t < n - d_dual + 1.
+def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
+    """The scan's first hit at every strength t <= n - d_dual, from one walk
+    of the dual; entry t is the known set, ascending.
 
-    The dual's first minimum-weight codeword h is a dependency among the
-    columns on supp(h), so its last support index stays hidden from anyone
-    who knows nothing on supp(h). The known set is the t highest indices
-    outside supp(h).
+    A known set K leaves an index hidden exactly when it lies inside the
+    zero set of some nonzero dual codeword h, and the first t-subset of a
+    zero set in combinations order is its first t indices. Written as a
+    bitmask with index 1 as the top bit, a larger zero set has an earlier
+    (or equal) t-prefix, so the first hit at strength t is the top t bits
+    of the largest mask with at least t zeros. The walk runs over fibers
+    b + c*h0 as LinearCode._spectrum does and keeps the largest mask per
+    zero count. The result does not depend on the order of the dual rows,
+    so they are taken lightest first: h0 then has the fewest root tables,
+    and the odometer's fastest digit adds the sparsest row.
     """
-    h = code.dual.first_of_weight[code.dual_distance]
-    support = [j + 1 for j, v in enumerate(h) if v]
-    outside = [j for j in range(1, code.length + 1) if h[j - 1] == 0]
-    known = frozenset(outside[len(outside) - strength:])
-    return RecoveryCounterexample(known=known, resisted=support[-1])
+    n, k = code.length, code.dimension
+    field = code.field
+    q = field.q
+    if q ** (n - k) > MAX_ENUMERATION:
+        raise TooLargeToEnumerateError(
+            f"q^(n-k) = {q}^{n - k} dual codewords exceed {MAX_ENUMERATION}"
+        )
+    rows = sorted(code.dual.generator.entries, key=lambda row: n - row.count(0))
+    h0 = rows[0]
+    roots = [(j, root, 1 << (n - 1 - j)) for j, root in _fiber_roots(field, h0)]
+    fixed = [(j, 1 << (n - 1 - j)) for j in range(n) if not h0[j]]
+    best = [-1] * (n + 1)
+    for b in iterate_span(field, rows[1:], n):
+        masks = [sum(bit for j, bit in fixed if not b[j])] * q
+        for j, root, bit in roots:
+            masks[root[b[j]]] |= bit
+        for mask in masks:
+            zeros = mask.bit_count()
+            if mask > best[zeros]:
+                best[zeros] = mask
+    # best[n] is the zero word's; a suffix maximum over the rest gives each t.
+    hits = []
+    largest = -1
+    for t in range(n - 1, -1, -1):
+        largest = max(largest, best[t])
+        if largest >= 0:
+            zero_set = [j + 1 for j in range(n) if largest >> (n - 1 - j) & 1]
+            hits.append(tuple(zero_set[:t]))
+    hits.reverse()
+    return hits
+
+
+def _first_hidden_known_sets(code: LinearCode, threshold: int) -> list[tuple[int, ...]]:
+    """The scan's first hit at every strength t < threshold: the first
+    strength-t known set, in combinations order, that leaves an index
+    hidden. The list stops early at a strength where none is found.
+
+    Below n - k the hit is {1..t}, since |U| > k >= rank(G_U). Only
+    [n - k, threshold) is searched; it is empty exactly for MDS codes. For
+    n <= EXHAUSTIVE_SWEEP_LIMIT it runs the scan, and beyond that one walk
+    of the dual fills it.
+    """
+    n, k = code.length, code.dimension
+    hits = [tuple(range(1, t + 1)) for t in range(n - k)]
+    searched = range(n - k, threshold)
+    if not searched:
+        return hits
+    if n > EXHAUSTIVE_SWEEP_LIMIT:
+        return hits + _dual_first_hits(code)[n - k:threshold]
+    for t in searched:
+        hit = _complete_insecurity_exhaustive(code, t)
+        if hit is None:
+            break
+        hits.append(tuple(sorted(hit.known)))
+    return hits
 
 
 def security_report(
@@ -511,43 +580,41 @@ def security_report(
     Verdicts are exact in both modes and follow from (d, d_dual): the
     measured block level at strength t is max(0, d - 1 - t), and complete
     insecurity holds exactly from t = n - d_dual + 1. Below that threshold
-    each strength carries a counterexample, confirmed by the attack's row
-    reduction. For n <= EXHAUSTIVE_SWEEP_LIMIT the report is "exhaustive"
-    and the counterexample is the first hit of the known-set scan. Beyond
-    that an exhaustive report is refused unless sampled=True; the report is
-    then marked "sampled" and the counterexample is built from the dual's
-    first minimum-weight codeword. The seed is recorded but changes no
-    verdict.
+    each strength carries a counterexample in both modes: the first
+    strength-t known set, in combinations order, that leaves an index
+    hidden, with the first index the attack's row reduction leaves hidden.
+    For n <= EXHAUSTIVE_SWEEP_LIMIT the report is "exhaustive"; beyond that
+    it is refused unless sampled=True, and is then marked "sampled". Only
+    the searched strengths [n - k, threshold) cost more than one reduction
+    each: the known-set scan finds them for n <= EXHAUSTIVE_SWEEP_LIMIT,
+    one walk of the q^(n-k) dual codewords beyond that, and MDS codes have
+    none. The seed is recorded but changes no verdict.
     """
     n = code.length
     d = code.min_distance
     dual_distance = code.dual_distance
     threshold = n - dual_distance + 1
-    if n > EXHAUSTIVE_SWEEP_LIMIT:
-        if not sampled:
-            raise TooLargeToEnumerateError(
-                f"exhaustive report refused for n={n} > {EXHAUSTIVE_SWEEP_LIMIT}; request sampling"
-            )
-        mode = "sampled"
-    else:
-        mode = "exhaustive"
+    if n > EXHAUSTIVE_SWEEP_LIMIT and not sampled:
+        raise TooLargeToEnumerateError(
+            f"exhaustive report refused for n={n} > {EXHAUSTIVE_SWEEP_LIMIT}; request sampling"
+        )
+    mode = "sampled" if n > EXHAUSTIVE_SWEEP_LIMIT else "exhaustive"
+    known_sets = _first_hidden_known_sets(code, threshold)
     verdicts = []
     for t in range(n):
         level = max(0, d - 1 - t)
         complete = t >= threshold
         counterexample = None
         if not complete:
-            if mode == "exhaustive":
-                counterexample = _complete_insecurity_exhaustive(code, t)
-            else:
-                counterexample = _dual_counterexample(code, t)
-                if counterexample.resisted not in _hidden_from(code, counterexample.known):
-                    counterexample = None
-            if counterexample is None:
+            hidden = _hidden_from(code, known_sets[t]) if t < len(known_sets) else ()
+            if not hidden:
                 raise TheoremViolationError(
                     f"strength {t} is below n - d_dual + 1 = {threshold}, "
                     "yet no hidden index was found"
                 )
+            counterexample = RecoveryCounterexample(
+                known=frozenset(known_sets[t]), resisted=hidden[0]
+            )
         verdicts.append(
             StrengthVerdict(
                 strength=t,

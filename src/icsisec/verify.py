@@ -6,7 +6,8 @@ names thm1 .. thm4 and lemma3):
   thm1    singleton bound, MDS consistency, the MacWilliams dual spectrum
           against a walk of the dual, the fiber-walked spectrum and first
           codeword of each weight against a plain walk over every codeword,
-          and per-code distance claims
+          the dual walk's counterexample known sets against the known-set
+          scan, and per-code distance claims
   thm2    orthogonal-array counts in every <= d_dual - 1 column set
   lemma3  algebraic no-information test against brute force: every
           binary instance with n <= 4 and up to 3 receivers, each distinct
@@ -52,11 +53,14 @@ from .icsi import (
 )
 from .rng import Rng
 from .security import (
+    EXHAUSTIVE_SWEEP_LIMIT,
     AdversaryView,
     AttackOutcome,
     ListTooLargeError,
     RankDeficientError,
     SecurityQuery,
+    _complete_insecurity_exhaustive,
+    _dual_first_hits,
     block_security_level,
     complete_insecurity_attack,
     conditional_block_entropy,
@@ -156,6 +160,8 @@ def load_corpus(path: str) -> tuple[CorpusEntry, ...]:
         if not isinstance(item, dict):
             raise MalformedInstanceError(f"corpus code {i} must be an object")
         _require_keys(item, {"name", "field", "generator", "claims"}, {"name", "field", "generator"}, f"corpus code {i}")
+        if not isinstance(item["name"], str):
+            raise MalformedInstanceError(f"corpus code {i}: name must be a string")
         field = _parse_field(item["field"])
         generator = item["generator"]
         if not isinstance(generator, list) or not all(isinstance(row, list) for row in generator):
@@ -166,7 +172,7 @@ def load_corpus(path: str) -> tuple[CorpusEntry, ...]:
             raise MalformedInstanceError(f"corpus code {i}: claims may set only d and d_dual")
         for key, value in claims.items():
             _as_int(value, f"corpus code {i}: claim {key}")
-        entries.append(CorpusEntry(str(item["name"]), code, dict(claims)))
+        entries.append(CorpusEntry(item["name"], code, dict(claims)))
     return tuple(entries)
 
 
@@ -218,6 +224,24 @@ def _spectrum_mismatch(code: LinearCode) -> Optional[dict]:
     return None
 
 
+def _first_hit_mismatch(code: LinearCode) -> Optional[dict]:
+    """Where the dual fits the enumeration guard and n is within the
+    known-set scan's limit, check the dual walk's first hit against the
+    scan at every strength below n - d_dual + 1. Returns the first
+    disagreement, or None."""
+    n, k, q = code.length, code.dimension, code.field.q
+    if k == n or q ** (n - k) > MAX_ENUMERATION or n > EXHAUSTIVE_SWEEP_LIMIT:
+        return None
+    walked = _dual_first_hits(code)
+    for t in range(n - code.dual_distance + 1):
+        hit = _complete_insecurity_exhaustive(code, t)
+        scanned = None if hit is None else sorted(hit.known)
+        walk = list(walked[t]) if t < len(walked) else None
+        if walk != scanned:
+            return {"t": t, "walk": walk, "scan": scanned}
+    return None
+
+
 def _suite_singleton(seed: int, corpus: tuple[CorpusEntry, ...]) -> SuiteResult:
     cases = 0
     for entry in corpus:
@@ -240,6 +264,9 @@ def _suite_singleton(seed: int, corpus: tuple[CorpusEntry, ...]) -> SuiteResult:
         mismatch = _spectrum_mismatch(code)
         if mismatch is not None:
             return _done("thm1", cases, {"code": entry.name, "check": "spectrum", **mismatch})
+        mismatch = _first_hit_mismatch(code)
+        if mismatch is not None:
+            return _done("thm1", cases, {"code": entry.name, "check": "first_hit", **mismatch})
         measured = {"d": d, "d_dual": code.dual_distance}
         for key, claimed in sorted(entry.claims.items()):
             cases += 1

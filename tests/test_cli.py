@@ -168,6 +168,59 @@ class TestAnalyze:
         assert optimized.returncode == 0, optimized.stderr
         assert optimized.stdout == result.stdout
 
+    def test_sampled_mds_report_walks_no_dual(self, tmp_path):
+        # RS [16, 4] over GF(16): 16^4 codewords, but a dual of 16^12. An MDS
+        # code has d_dual = k + 1, so every strength below the threshold
+        # n - k takes the known set {1..t} and the dual is never walked.
+        rows = reed_solomon_code(16, 4, Field(2, 4)).generator.entries
+        path = write_doc(
+            tmp_path,
+            "rs16_4_gf16.json",
+            {
+                "field": {"p": 2, "m": 4},
+                "n": 16,
+                "receivers": [{"side_info": list(range(5, 17)), "demand": i} for i in range(1, 5)],
+                "choice_policy": [[0 if j == i else v for j, v in enumerate(row)] for i, row in enumerate(rows)],
+            },
+        )
+        result = run_cli("analyze", path, "--sample")
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["mode"] == "sampled"
+        assert report["code"] == {"n": 16, "k": 4, "d": 13, "d_dual": 5}
+        assert report["insecure_from"] == 12
+        for s in report["strengths"]:
+            cex = s["counterexample"]
+            if s["t"] < 12:
+                assert cex["known"] == list(range(1, s["t"] + 1))
+            else:
+                assert cex is None
+        optimized = run_cli("analyze", path, "--sample", interpreter_flags=("-O",))
+        assert optimized.returncode == 0, optimized.stderr
+        assert optimized.stdout == result.stdout
+
+    def test_sample_refuses_a_large_dual_by_its_size(self, tmp_path):
+        # [20, 3] over F3 with columns 19 and 20 equal: q^k = 27, but
+        # d_dual = 2 leaves strengths 17 and 18 to a walk of 3^17 dual words.
+        rows = [
+            [int(j == i) for j in range(3)] + [(i + j) % 3 for j in range(16)] + [(i + 15) % 3]
+            for i in range(3)
+        ]
+        path = write_doc(
+            tmp_path,
+            "f3_20_3.json",
+            {
+                "field": {"p": 3},
+                "n": 20,
+                "receivers": [{"side_info": list(range(4, 21)), "demand": i} for i in range(1, 4)],
+                "choice_policy": [[0 if j == i else v for j, v in enumerate(row)] for i, row in enumerate(rows)],
+            },
+        )
+        result = run_cli("analyze", path, "--sample")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "q^(n-k) = 3^17 dual codewords" in result.stderr
+
     def test_missing_file_is_exit_1(self):
         result = run_cli("analyze", str(INSTANCES / "absent.json"))
         assert result.returncode == 1
@@ -439,6 +492,21 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "corpus code 1: claim d must be an integer" in err
+
+    @pytest.mark.parametrize("name", [None, 5], ids=["null", "int"])
+    def test_non_string_corpus_name_is_exit_2(self, tmp_path, capsys, name):
+        path = write_doc(tmp_path, "named.json", {
+            "codes": [{
+                "name": name,
+                "field": {"p": 2},
+                "generator": [[1, 1, 1]],
+                "claims": {"d": 2},
+            }]
+        })
+        code, out, err = call_main(capsys, "verify", "--suite", "thm1", "--corpus", path)
+        assert code == 2
+        assert out == ""
+        assert "corpus code 1: name must be a string" in err
 
     def test_unknown_suite_is_exit_2(self):
         assert run_cli("verify", "--suite", "thm9").returncode == 2

@@ -6,15 +6,17 @@ oracle is additionally cross-checked against the rank route on a full
 small sweep, independent of the verify module's suites.
 """
 
+import dataclasses
 import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import icsisec.code as code_module
 import icsisec.security as security_module
 from icsisec.algebra import DimensionMismatchError, Field, Matrix, Vector
-from icsisec.code import LinearCode, TooLargeToEnumerateError, reed_solomon_code
+from icsisec.code import LinearCode, TooLargeToEnumerateError, ZeroCodeError, reed_solomon_code
 from icsisec.rng import Rng
 from icsisec.security import (
     AdversaryView,
@@ -507,6 +509,71 @@ class TestClosedFormLadder:
         assert calls["rank_of_columns"] == 0
         assert calls["confined_combination"] == 0
         assert calls["_reduce_unknowns"] <= 2 * code.length
+
+
+WALK_FIELDS = (F2, F3, Field(2, 2), Field(5), Field(2, 3), Field(3, 2))
+WALK_WORDS = 729
+
+
+@st.composite
+def walk_codes(draw):
+    """(field, rows) with n <= 8 and at most WALK_WORDS words in the code
+    and in its dual."""
+    field = draw(st.sampled_from(WALK_FIELDS))
+    bound = max(e for e in range(1, 13) if field.q ** e <= WALK_WORDS)
+    n = draw(st.integers(2, min(8, 2 * bound)))
+    k = draw(st.integers(max(1, n - bound), min(n - 1, bound)))
+    entry = st.integers(0, field.q - 1)
+    if draw(st.booleans()):
+        # Sparse rows leave zero columns and dead coordinates.
+        entry = st.one_of(st.just(0), entry)
+    return field, draw(st.tuples(*[st.tuples(*[entry] * n)] * k))
+
+
+class TestOneCounterexampleDefinition:
+    """Sampled reports print the known-set scan's first hit, filled by one
+    walk of the dual past EXHAUSTIVE_SWEEP_LIMIT."""
+
+    def test_sampled_route_equals_exhaustive_on_corpus(self, monkeypatch):
+        corpus = builtin_corpus(0)
+        exhaustive = [security_report(entry.code) for entry in corpus]
+        monkeypatch.setattr(security_module, "EXHAUSTIVE_SWEEP_LIMIT", 0)
+        for entry, expected in zip(corpus, exhaustive):
+            report = security_report(entry.code, sampled=True)
+            assert report.mode == "sampled"
+            assert dataclasses.replace(report, mode="exhaustive") == expected, entry.name
+
+    @staticmethod
+    def check_walk(code):
+        n = code.length
+        threshold = n - code.dual_distance + 1
+        walked = security_module._dual_first_hits(code)
+        assert len(walked) == threshold
+        for t in range(threshold):
+            hit = security_module._complete_insecurity_exhaustive(code, t)
+            assert walked[t] == tuple(sorted(hit.known)), t
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(walk_codes())
+    # A zero column: e_1 is a dual codeword and d_dual = 1.
+    @example((F2, ((0, 1, 0, 1, 1), (0, 0, 1, 1, 0))))
+    # k = n - 1: the dual has one row, (1, 0, 4, 6), and d_dual = 3.
+    @example((Field(2, 3), ((1, 0, 0, 3), (0, 1, 0, 0), (0, 0, 1, 7))))
+    # Dual row 0 is (1, 1, 0, 0, 0, 0, 0, 0): zero outside its pivot and
+    # column 2, so most coordinates of a fiber share one zero pattern.
+    @example((F3, (
+        (1, 2, 0, 0, 0, 0, 0, 0),
+        (0, 0, 1, 0, 1, 1, 0, 2),
+        (0, 0, 0, 1, 2, 0, 1, 1),
+    )))
+    def test_walk_matches_scan(self, drawn):
+        field, rows = drawn
+        try:
+            code = LinearCode(Matrix(field, rows))
+        except ZeroCodeError:
+            assume(False)
+        assume(code.dimension < code.length)
+        self.check_walk(code)
 
 
 class TestTheoremViolation:

@@ -274,6 +274,20 @@ class TestFailureReporting:
         assert failure["first"] == [3, list(later)]
         assert failure["walked_first"] == [3, list(firsts[3])]
 
+    def test_wrong_dual_walk_fails_first_hit(self, monkeypatch):
+        # A walk that answers with the last t indices instead of the first:
+        # repetition3 has d_dual = 2, and at t = 1 the scan's hit is {1}.
+        def last_indices(code):
+            threshold = code.length - code.dual_distance + 1
+            return [tuple(range(code.length - t + 1, code.length + 1)) for t in range(threshold)]
+
+        monkeypatch.setattr(verify_module, "_dual_first_hits", last_indices)
+        result = run_suite("thm1")
+        assert not result.ok
+        failure = result.failures[0]
+        assert (failure["code"], failure["check"], failure["t"]) == ("repetition3", "first_hit", 1)
+        assert (failure["walk"], failure["scan"]) == ([3], [1])
+
     def test_corrupted_transform_fails_macwilliams(self, monkeypatch):
         original = code_module._macwilliams
 
