@@ -7,6 +7,14 @@ modular arithmetic; extension fields are built once per (p, m, polynomial)
 and afterwards multiply through log/antilog tables, which keeps every
 operation exact. Field order is capped at 65536.
 
+Row reduction runs on one row operation, Field._sub_scaled (row - c*other
+for a whole row at once), used both to eliminate and to normalise a pivot
+row. It has the three branches of Field.add: modular arithmetic for prime
+fields, XOR and one lookup in a doubled exp table per product in
+characteristic 2 (the table-driven GF(2^m) row operations of Rizzo's
+erasure codes), and the scalar add and mul for odd-characteristic
+extensions. A scalar Gauss-Jordan in the tests is its slow route.
+
 Index convention: every public index argument or result (supports, pivot
 columns, unit-vector positions, column selections) is 1-based, matching the
 usual [n] = {1, ..., n} notation of the domain. Raw entry tuples remain
@@ -29,6 +37,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 MAX_FIELD_ORDER = 65536
+
+# Bound once: a candidate list builds one Vector per candidate.
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 class AlgebraError(Exception):
@@ -212,7 +224,8 @@ class Field:
         log = [0] * q
         for i, val in enumerate(exp):
             log[val] = i
-        self._exp = exp
+        # Doubled, so that a sum of two logs indexes it without a reduction.
+        self._exp = exp + exp
         self._log = log
 
     # -- scalar arithmetic on canonical integers --
@@ -259,7 +272,7 @@ class Field:
         if a == 0 or b == 0:
             return 0
         assert self._exp is not None and self._log is not None
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -267,7 +280,7 @@ class Field:
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
         assert self._exp is not None and self._log is not None
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self._exp[self.q - 1 - self._log[a]]
 
     def power(self, a: int, e: int) -> int:
         """a raised to a nonnegative integer exponent, with 0^0 = 1."""
@@ -279,6 +292,21 @@ class Field:
             return 1 if e == 0 else 0
         assert self._exp is not None and self._log is not None
         return self._exp[(self._log[a] * e) % (self.q - 1)]
+
+    def _sub_scaled(self, row: Sequence[int], c: int, other: Sequence[int]) -> list[int]:
+        """The row operation row - c*other, for a nonzero c, on a whole row
+        at once; it has add's three branches, and in characteristic 2 each
+        product is one lookup in the doubled exp table."""
+        if self.m == 1:
+            p = self.p
+            return [(a - c * b) % p if b else a for a, b in zip(row, other)]
+        if self.p == 2:
+            exp, log = self._exp, self._log
+            assert exp is not None and log is not None
+            lc = log[c]
+            return [a ^ exp[lc + log[b]] if b else a for a, b in zip(row, other)]
+        sub, mul = self.sub, self.mul
+        return [sub(a, mul(c, b)) if b else a for a, b in zip(row, other)]
 
     def check_value(self, value: int) -> int:
         if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < self.q:
@@ -314,9 +342,9 @@ class Vector:
     @classmethod
     def _raw(cls, field: Field, entries: tuple[int, ...]) -> "Vector":
         """Unchecked constructor; the entries must already be canonical."""
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "field", field)
-        object.__setattr__(vector, "entries", entries)
+        vector = _new(cls)
+        _setattr(vector, "field", field)
+        _setattr(vector, "entries", entries)
         return vector
 
     @classmethod
@@ -471,7 +499,7 @@ def _rref_raw(
     mat = [list(r) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-    sub, mul, inv = field.sub, field.mul, field.inv
+    sub_scaled = field._sub_scaled
     pivots: list[int] = []
     r = 0
     for c in range(ncols if width is None else width):
@@ -484,16 +512,13 @@ def _rref_raw(
             mat[r], mat[pr] = mat[pr], mat[r]
         pivot = mat[r][c]
         if pivot != 1:
-            piv_inv = inv(pivot)
-            mat[r] = [mul(piv_inv, v) for v in mat[r]]
+            # row - (1 - 1/pivot)*row is row/pivot.
+            mat[r] = sub_scaled(mat[r], field.sub(1, field.inv(pivot)), mat[r])
         prow = mat[r]
         for i in range(nrows):
-            if i != r and mat[i][c]:
-                coef = mat[i][c]
-                row = mat[i]
-                for j in range(c, ncols):
-                    if prow[j]:
-                        row[j] = sub(row[j], mul(coef, prow[j]))
+            coef = mat[i][c]
+            if coef and i != r:
+                mat[i] = sub_scaled(mat[i], coef, prow)
         pivots.append(c)
         r += 1
     return mat, pivots

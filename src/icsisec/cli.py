@@ -113,9 +113,14 @@ def cmd_attack(args: argparse.Namespace) -> int:
     broadcast = _parse_vector(args.broadcast, field, code.dimension, "--broadcast")
     view = AdversaryView.of(known, broadcast)
     # Every answer is computed before anything is printed, so a refused
-    # list (exit 2 or 5) leaves stdout empty.
-    outcome = complete_insecurity_attack(code, view)
-    candidates = list_attack(code, view) if args.list else None
+    # list (exit 2 or 5) leaves stdout empty. The list carries the outcome
+    # of its own reduction, so --list reduces once.
+    if args.list:
+        candidates = list_attack(code, view)
+        outcome = candidates.outcome
+    else:
+        candidates = None
+        outcome = complete_insecurity_attack(code, view)
     values = outcome.mapping
     lines = [
         f"{i}={values[i]}" if i in values else f"{i}=?"
@@ -124,7 +129,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
     ]
     if candidates is not None:
         lines.append(f"count={len(candidates)}")
-        lines.extend(",".join(map(str, c.entries)) for c in candidates)
+        # One format string per list: a table of the q value strings would
+        # cost as much, and q conversions even for a single candidate.
+        row_format = ",".join(["%d"] * code.length)
+        lines.extend([row_format % c.entries for c in candidates])
     if not outcome.consistent:
         print("note: the observation matches no message vector; "
               "recovered values are not meaningful", file=sys.stderr)

@@ -73,12 +73,34 @@ def _as_int(value: Any, where: str) -> int:
 
 
 def _as_index_list(value: Any, where: str) -> list[int]:
+    """The list itself, once every entry is an integer and none repeats; a
+    non-integer anywhere outranks a repeat."""
     if not isinstance(value, list):
         raise MalformedInstanceError(f"{where} must be a list, got {value!r}")
-    out = [_as_int(v, where) for v in value]
-    if len(set(out)) != len(out):
+    for v in value:
+        if type(v) is not int:
+            _as_int(v, where)
+    if len(set(value)) != len(value):
         raise MalformedInstanceError(f"duplicate index in {where}")
-    return out
+    return value
+
+
+def _as_field_row(row: list, field: Field, where: str) -> Vector:
+    """A choice-vector row checked in one pass: a non-integer anywhere
+    outranks a value outside the field, and within each kind the first
+    bad entry is named."""
+    q = field.q
+    outside = None
+    for v in row:
+        if type(v) is not int:
+            _as_int(v, where)
+        if outside is None and not 0 <= v < q:
+            outside = v
+    if outside is not None:
+        raise MalformedInstanceError(
+            f"{where}: {outside!r} is not a canonical element of {field!r}"
+        )
+    return Vector._raw(field, tuple(row))
 
 
 def _parse_field(obj: Any) -> Field:
@@ -146,11 +168,7 @@ def parse_instance(doc: Any) -> LoadedInstance:
                 raise MalformedInstanceError(
                     f"choice vector {j} must be a list of {n} field values"
                 )
-            values = tuple(_as_int(v, f"choice vector {j}") for v in row)
-            try:
-                per_file.append(Vector(field, values))
-            except ValueError as exc:
-                raise MalformedInstanceError(f"choice vector {j}: {exc}") from exc
+            per_file.append(_as_field_row(row, field, f"choice vector {j}"))
         expanded: list[Vector] = []
         for j, wanted in enumerate(demand_sets):
             expanded.extend([per_file[j]] * len(wanted))

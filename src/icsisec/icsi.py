@@ -21,10 +21,11 @@ from .algebra import (
     Field,
     FieldMismatchError,
     IndexOutOfRangeError,
+    Matrix,
     Vector,
     unit_vector,
 )
-from .code import LinearCode
+from .code import EmptyInputError, LinearCode
 
 
 class IcsiError(Exception):
@@ -148,7 +149,7 @@ def default_choice_vectors(instance: IcsiInstance, policy: str = "indicator") ->
     """
     if policy == "indicator":
         return tuple(
-            Vector(instance.field, tuple(1 if i + 1 in side else 0 for i in range(instance.n)))
+            Vector._raw(instance.field, tuple(1 if i + 1 in side else 0 for i in range(instance.n)))
             for side in instance.side_info
         )
     if policy == "zero":
@@ -180,24 +181,29 @@ def build_scheme(instance: IcsiInstance, choice_vectors: Sequence[Vector]) -> Sc
         raise DimensionMismatchError(
             f"{instance.m} receivers but {len(choice_vectors)} choice vectors"
         )
+    field, n = instance.field, instance.n
     rows = []
     for j, (side, demand, v) in enumerate(
         zip(instance.side_info, instance.demands, choice_vectors), start=1
     ):
-        if v.field != instance.field:
+        if v.field != field:
             raise FieldMismatchError(f"choice vector {j} lives in a different field")
-        if len(v) != instance.n:
+        if len(v) != n:
             raise DimensionMismatchError(
-                f"choice vector {j} has length {len(v)}, expected {instance.n}"
+                f"choice vector {j} has length {len(v)}, expected {n}"
             )
-        stray = v.support() - side
+        entries = v.entries
+        stray = [i for i, value in enumerate(entries, start=1) if value and i not in side]
         if stray:
             raise ConfinementViolationError(
-                f"choice vector {j} is nonzero outside X_{j} at {sorted(stray)}"
+                f"choice vector {j} is nonzero outside X_{j} at {stray}"
             )
         if demand not in side:
-            rows.append(v + unit_vector(demand, instance.n, instance.field))
-    code = LinearCode.from_rows(rows)
+            # v is zero at the demand, so v + e_demand puts a 1 there.
+            rows.append(entries[: demand - 1] + (1,) + entries[demand:])
+    if not rows:
+        raise EmptyInputError("need at least one row")
+    code = LinearCode(Matrix._raw(field, tuple(rows)))
     return Scheme(instance, tuple(choice_vectors), code)
 
 

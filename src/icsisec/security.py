@@ -23,17 +23,23 @@ On top of the verdicts sit the constructive results: witnesses that break
 weak security one strength past the guarantee, the candidate-list attack
 with its exact q^(n-t-k) size, and the full-recovery attack that sets in at
 strength n - d_dual + 1. Both attacks read everything from one row
-reduction of [G_U | s'], where U is the unknown columns and s' = s - G_K x_K
-is the broadcast with the known messages removed. The same reduction on a
-zero observation confirms every report counterexample; the per-index
-solves of LinearCode.confined_combination stay as the attack's slow route
-in the thm4 suite.
+reduction of [G_U | s'], where U is the unknown columns in descending order
+and s' = s - G_K x_K is the broadcast with the known messages removed; the
+list carries the per-index outcome of its own reduction. With U descending
+each pivot depends only on free values at smaller indices, so the list
+comes out of an odometer over the free values in lexicographic order,
+without a sort; thm3 checks that order and a brute-force filter in the
+tests checks the list. The same reduction on a zero observation finds the
+hidden index of every report counterexample; the per-index solves of
+LinearCode.confined_combination stay as the attack's slow route in the
+thm4 suite.
 
 A report counterexample has one definition at every n: the first
 strength-t known set, in combinations order, that leaves an index hidden.
 Below t = n - k it is {1..t}. The strengths from n - k to the threshold
-are found by the known-set scan up to EXHAUSTIVE_SWEEP_LIMIT and by one
-walk of the dual beyond it, and thm1 checks the walk against the scan.
+are found by the known-set scan up to EXHAUSTIVE_SWEEP_LIMIT, whose hits
+come with their hidden index, and by one walk of the dual beyond it, and
+thm1 checks the walk against the scan. Each known set is reduced once.
 """
 
 from __future__ import annotations
@@ -330,14 +336,16 @@ def _reduce_unknowns(
 ) -> tuple[list[int], list[list[int]], list[int]]:
     """One row reduction of [G_U | s'] for an adversary's observation.
 
-    U lists the unknown indices in ascending order and s' = s - G_K x_K.
+    U lists the unknown indices in descending order and s' = s - G_K x_K.
     Pivots are taken only on the |U| columns of G_U, so s' rides along as
     the last entry of every reduced row. Returns U, the reduced rows and
-    the pivot positions within U (0-based).
+    the pivot positions within U (0-based). In reduced echelon form a
+    pivot's row is zero on the columns before it, so with U descending
+    each pivot index is fixed by the free indices below it.
     """
     field = code.field
     sub, mul = field.sub, field.mul
-    unknown = [j for j in range(1, code.length + 1) if j not in known]
+    unknown = [j for j in range(code.length, 0, -1) if j not in known]
     augmented = []
     for row, value in zip(code.generator.entries, broadcast.entries):
         for i, v in known.items():
@@ -348,16 +356,31 @@ def _reduce_unknowns(
     return unknown, reduced, pivots
 
 
-def list_attack(code: LinearCode, view: AdversaryView) -> tuple[Vector, ...]:
+class CandidateList(tuple):
+    """list_attack's candidates, a tuple of message vectors in
+    lexicographic order. `outcome` is the per-index attack, read off the
+    same reduction."""
+
+    outcome: "AttackOutcome"
+
+
+def list_attack(code: LinearCode, view: AdversaryView) -> CandidateList:
     """Every message vector consistent with the adversary's observation.
 
     When the columns outside the known set have full rank k (guaranteed
     whenever the strength is at most d - 1) the list has exactly
     q^(n - t - k) entries and provably contains the real message vector.
-    Entries come back sorted lexicographically. The particular solution,
-    the kernel, the rank and the consistency check all come from one
-    reduction of [G_U | s']: the observation is consistent exactly when the
-    reduced rows past the rank have a zero right-hand side.
+    The particular solution, the kernel, the rank, the consistency check
+    and the per-index outcome all come from one reduction of [G_U | s']:
+    the observation is consistent exactly when the reduced rows past the
+    rank have a zero right-hand side.
+
+    Entries come out in lexicographic order without a sort. U runs in
+    descending order, so each pivot value depends only on free values at
+    smaller indices; an odometer over the free values, the smallest free
+    index as its most significant digit, therefore visits the candidates
+    in order. Each kernel vector moves its own free value and the pivots
+    that depend on it, so a step adds one precomputed multiple of it.
     """
     known = _checked_view(code, view)
     n, k = code.length, code.dimension
@@ -379,18 +402,37 @@ def list_attack(code: LinearCode, view: AdversaryView) -> tuple[Vector, ...]:
             f"candidate list of q^{width - rank} entries exceeds {LIST_LIMIT}"
         )
     particular, kernel = _read_solution(field, reduced, pivots, width)
-    add = field.add
-    base = [0] * n
+    add, sub, mul = field.add, field.sub, field.mul
+    z = [0] * n
     for i, v in known.items():
-        base[i - 1] = v
+        z[i - 1] = v
+    for j, v in zip(unknown, particular):
+        z[j - 1] = v
+    # The kernel comes one vector per free column of U, so digit 0 is the
+    # largest free index. steps[d][a] takes digit d from a to a + 1 mod q:
+    # (position, value) pairs to add, the change times the kernel vector.
+    steps = []
+    for vec in kernel:
+        support = [(j - 1, v) for j, v in zip(unknown, vec) if v]
+        steps.append([
+            [(j, mul(sub((a + 1) % q, a), v)) for j, v in support] for a in range(q)
+        ])
+    digits = [0] * len(kernel)
     words = []
-    for combo in iterate_span(field, kernel, width=width):
-        z = base[:]
-        for pos, j in enumerate(unknown):
-            z[j - 1] = add(particular[pos], combo[pos])
-        words.append(tuple(z))
-    words.sort()
-    return tuple(Vector._raw(field, z) for z in words)
+    while True:
+        words.append(Vector._raw(field, tuple(z)))
+        for d, a in enumerate(digits):
+            for j, v in steps[d][a]:
+                z[j] = add(z[j], v)
+            if a < q - 1:
+                digits[d] = a + 1
+                break
+            digits[d] = 0
+        else:
+            break
+    candidates = CandidateList(words)
+    candidates.outcome = _outcome(unknown, reduced, pivots)
+    return candidates
 
 
 @dataclass(frozen=True)
@@ -429,16 +471,23 @@ def complete_insecurity_attack(code: LinearCode, view: AdversaryView) -> AttackO
 
 
 def _attack(code: LinearCode, known: Mapping[int, int], broadcast: Vector) -> AttackOutcome:
-    unknown, reduced, pivots = _reduce_unknowns(code, known, broadcast)
+    return _outcome(*_reduce_unknowns(code, known, broadcast))
+
+
+def _outcome(unknown: list[int], reduced: list[list[int]], pivots: list[int]) -> AttackOutcome:
+    """The attack read off a reduction of [G_U | s'] with U descending. A
+    row equal to e_c on U recovers U[c] whatever the column order, since
+    e_c lies in the row space of G_U either way."""
     width = len(unknown)
     values = {
         unknown[c]: row[width]
         for row, c in zip(reduced, pivots)
         if row[:width].count(0) == width - 1
     }
+    ascending = unknown[::-1]
     return AttackOutcome(
-        recovered=tuple((i, values[i]) for i in unknown if i in values),
-        resisted=tuple(i for i in unknown if i not in values),
+        recovered=tuple((i, values[i]) for i in ascending if i in values),
+        resisted=tuple(i for i in ascending if i not in values),
         consistent=not any(row[width] for row in reduced[len(pivots):]),
     )
 
@@ -485,15 +534,22 @@ def _hidden_from(code: LinearCode, known: Iterable[int]) -> tuple[int, ...]:
     return _attack(code, dict.fromkeys(known, 0), zero).resisted
 
 
+def _counterexample(code: LinearCode, known: Iterable[int]) -> Optional[RecoveryCounterexample]:
+    """The known set with the first index it leaves hidden; None when it
+    leaves none."""
+    hidden = _hidden_from(code, known)
+    return RecoveryCounterexample(frozenset(known), hidden[0]) if hidden else None
+
+
 def _complete_insecurity_exhaustive(
     code: LinearCode, strength: int
 ) -> Optional[RecoveryCounterexample]:
     """The first strength-t known set, in combinations order, that leaves an
     index hidden, with its first hidden index; None when there is none."""
     for known in itertools.combinations(range(1, code.length + 1), strength):
-        hidden = _hidden_from(code, known)
-        if hidden:
-            return RecoveryCounterexample(known=frozenset(known), resisted=hidden[0])
+        found = _counterexample(code, known)
+        if found is not None:
+            return found
     return None
 
 
@@ -544,29 +600,36 @@ def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
     return hits
 
 
-def _first_hidden_known_sets(code: LinearCode, threshold: int) -> list[tuple[int, ...]]:
-    """The scan's first hit at every strength t < threshold: the first
-    strength-t known set, in combinations order, that leaves an index
-    hidden. The list stops early at a strength where none is found.
+def _first_counterexamples(
+    code: LinearCode, threshold: int
+) -> list[Optional[RecoveryCounterexample]]:
+    """The report's counterexample at every strength t < threshold: the
+    scan's first hit, the first strength-t known set in combinations order
+    that leaves an index hidden, with the first index it hides. An entry
+    is None where a set the theorems promise hides nothing, and the list
+    stops early at a strength where the scan finds none.
 
     Below n - k the hit is {1..t}, since |U| > k >= rank(G_U). Only
     [n - k, threshold) is searched; it is empty exactly for MDS codes. For
-    n <= EXHAUSTIVE_SWEEP_LIMIT it runs the scan, and beyond that one walk
-    of the dual fills it.
+    n <= EXHAUSTIVE_SWEEP_LIMIT the scan searches it, and its hits come
+    with their hidden index. Beyond that one walk of the dual fills it.
+    Every set the scan did not reduce is reduced once to find its hidden
+    index.
     """
     n, k = code.length, code.dimension
-    hits = [tuple(range(1, t + 1)) for t in range(n - k)]
+    found = [_counterexample(code, range(1, t + 1)) for t in range(n - k)]
     searched = range(n - k, threshold)
     if not searched:
-        return hits
+        return found
     if n > EXHAUSTIVE_SWEEP_LIMIT:
-        return hits + _dual_first_hits(code)[n - k:threshold]
+        walked = _dual_first_hits(code)[n - k:threshold]
+        return found + [_counterexample(code, known) for known in walked]
     for t in searched:
         hit = _complete_insecurity_exhaustive(code, t)
         if hit is None:
             break
-        hits.append(tuple(sorted(hit.known)))
-    return hits
+        found.append(hit)
+    return found
 
 
 def security_report(
@@ -599,22 +662,19 @@ def security_report(
             f"exhaustive report refused for n={n} > {EXHAUSTIVE_SWEEP_LIMIT}; request sampling"
         )
     mode = "sampled" if n > EXHAUSTIVE_SWEEP_LIMIT else "exhaustive"
-    known_sets = _first_hidden_known_sets(code, threshold)
+    counterexamples = _first_counterexamples(code, threshold)
     verdicts = []
     for t in range(n):
         level = max(0, d - 1 - t)
         complete = t >= threshold
         counterexample = None
         if not complete:
-            hidden = _hidden_from(code, known_sets[t]) if t < len(known_sets) else ()
-            if not hidden:
+            counterexample = counterexamples[t] if t < len(counterexamples) else None
+            if counterexample is None:
                 raise TheoremViolationError(
                     f"strength {t} is below n - d_dual + 1 = {threshold}, "
                     "yet no hidden index was found"
                 )
-            counterexample = RecoveryCounterexample(
-                known=frozenset(known_sets[t]), resisted=hidden[0]
-            )
         verdicts.append(
             StrengthVerdict(
                 strength=t,

@@ -15,6 +15,7 @@ names thm1 .. thm4 and lemma3):
           vectors, then 1000 seeded random instances against the public
           conditional_block_entropy oracle
   thm3    distance-derived security floors, weight witnesses, list attacks
+          with their size, membership and strictly increasing order
   thm4    guaranteed full recovery at strength n - d_dual + 1, with the
           one-reduction attack checked index by index against
           LinearCode.confined_combination
@@ -522,6 +523,13 @@ def _suite_security_thresholds(seed: int, corpus: tuple[CorpusEntry, ...]) -> Su
             return _done("thm3", cases, {
                 "code": entry.name, "check": "list_attack_refused", "t": t,
                 "known": sorted(known), "error": type(exc).__name__,
+            })
+        # list_attack orders its candidates without a sort, so the order is
+        # checked here; it costs one comparison per candidate.
+        if any(a.entries >= b.entries for a, b in zip(candidates, candidates[1:])):
+            return _done("thm3", cases, {
+                "code": entry.name, "check": "list_order", "t": t,
+                "known": sorted(known), "x": list(x),
             })
         expected = q ** (n - t - k)
         if len(candidates) != expected or Vector(field, x) not in candidates:

@@ -4,6 +4,8 @@ Extension-field expectations are worked out by hand against the modulus
 polynomial and frozen here as integers, independent of the table builder.
 """
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -243,6 +245,89 @@ class TestRref:
     def test_rank_equals_transpose_rank(self, m):
         rank = len(_rref_raw(m.field, m.entries)[1])
         assert rank == len(_rref_raw(m.field, list(zip(*m.entries)))[1])
+
+
+@functools.cache
+def scalar_ops(field):
+    """add, sub, mul and inv of a field element by element, from the
+    polynomial product instead of the log/exp tables."""
+    if field.m == 1:
+        def mul(a, b):
+            return a * b % field.p
+    else:
+        mul = field._mul_raw
+    inverse = {a: next(b for b in range(1, field.q) if mul(a, b) == 1) for a in range(1, field.q)}
+    return field.add, field.sub, mul, inverse.__getitem__
+
+
+def scalar_gauss_jordan(field, rows, width=None):
+    """Reduced row echelon form one scalar at a time, with the pivot rule
+    _rref_raw documents: per column left to right, the topmost unused row
+    with a nonzero entry, normalized and eliminated above and below."""
+    add, sub, mul, inv = scalar_ops(field)
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(mat[0]) if width is None else width):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        scale = inv(mat[r][c])
+        mat[r] = [mul(scale, v) for v in mat[r]]
+        for i in range(len(mat)):
+            coef = mat[i][c]
+            if i != r and coef:
+                mat[i] = [sub(a, mul(coef, b)) for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
+# GF(9) and GF(25) take the row operation's odd-extension branch.
+KERNEL_FIELDS = (
+    F2, F3, F5, Field(13), F4, F8, F9, Field(2, 4), Field(5, 2),
+)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """(field, rows, width): up to 6 x 8, entries biased to zero, with a zero
+    row or a repeated combination of rows in some draws."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(0, field.q - 1))
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    shape = draw(st.sampled_from(("plain", "zero row", "dependent row")))
+    if shape == "zero row":
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    elif shape == "dependent row" and nrows > 1:
+        add, _, mul, _ = scalar_ops(field)
+        c = draw(st.integers(1, field.q - 1))
+        rows[-1] = [add(a, mul(c, b)) for a, b in zip(rows[0], rows[1 % (nrows - 1)])]
+    width = draw(st.one_of(st.none(), st.integers(1, ncols)))
+    return field, rows, width
+
+
+class TestRowKernel:
+    """_rref_raw runs on Field._sub_scaled; a scalar Gauss-Jordan over the
+    table-free product is its slow route."""
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(kernel_matrices())
+    def test_rref_matches_scalar_gauss_jordan(self, drawn):
+        field, rows, width = drawn
+        assert _rref_raw(field, rows, width=width) == scalar_gauss_jordan(field, rows, width)
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+    def test_sub_scaled_every_coefficient(self, field):
+        _, sub, mul, _ = scalar_ops(field)
+        row = list(range(field.q))
+        other = row[::-1]
+        for c in range(1, field.q):
+            expected = [sub(a, mul(c, b)) for a, b in zip(row, other)]
+            assert field._sub_scaled(row, c, other) == expected
 
 
 class TestSolve:

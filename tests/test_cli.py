@@ -7,6 +7,9 @@ every non-trivial receiver contributes a generator row; that path is
 covered at library level in test_icsi.py.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import re
@@ -538,6 +541,48 @@ class TestInputBoundary:
         assert out == ""
         assert "choice vector 1" in err
 
+    # The stderr text of each rejection, as recorded before the parser
+    # checked a row in one pass. A non-integer anywhere in a row outranks an
+    # earlier out-of-range value, and within a kind the first entry wins.
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ([0, True, 0], "choice vector 1 must be an integer, got True"),
+            ([0, 1.5, 0], "choice vector 1 must be an integer, got 1.5"),
+            ([0, "1", 0], "choice vector 1 must be an integer, got '1'"),
+            ([0, None, 0], "choice vector 1 must be an integer, got None"),
+            ([0, -1, 0], "choice vector 1: -1 is not a canonical element of Field(2)"),
+            ([0, 2, 0], "choice vector 1: 2 is not a canonical element of Field(2)"),
+            ([2, True, 0], "choice vector 1 must be an integer, got True"),
+            ([0, 3, -1], "choice vector 1: 3 is not a canonical element of Field(2)"),
+            ([0, 1], "choice vector 1 must be a list of 3 field values"),
+        ],
+        ids=["true", "float", "string", "null", "negative", "q", "range-then-type",
+             "two-out-of-range", "short"],
+    )
+    def test_bad_choice_vector_entry_message(self, tmp_path, capsys, row, message):
+        path = write_doc(tmp_path, "policy.json", {**THIN, "choice_policy": [row]})
+        code, out, err = call_main(capsys, "encode", path, "--messages", "0,0,0")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "side,message",
+        [
+            ([True], "receiver 1 side_info must be an integer, got True"),
+            ([2.5], "receiver 1 side_info must be an integer, got 2.5"),
+            (["3"], "receiver 1 side_info must be an integer, got '3'"),
+            ([2, 2], "duplicate index in receiver 1 side_info"),
+            ([2, 2, True], "receiver 1 side_info must be an integer, got True"),
+            ([2, 9], "receiver 1 side-info index 9 outside [1, 3]"),
+        ],
+        ids=["true", "float", "string", "duplicate", "duplicate-then-type", "out-of-range"],
+    )
+    def test_bad_side_info_entry_message(self, tmp_path, capsys, side, message):
+        doc = {**THIN, "receivers": [{"side_info": side, "demand": 1}]}
+        path = write_doc(tmp_path, "side.json", doc)
+        code, out, err = call_main(capsys, "encode", path, "--messages", "0,0,0")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("index", ["99", "0"])
     def test_out_of_range_side_index_is_exit_2(self, capsys, index):
         code, out, err = call_main(
@@ -609,3 +654,70 @@ class TestReadme:
             code, out, err = call_main(capsys, *argv)
             assert code == 0, (argv, err)
             assert out
+
+
+# SHA-256 of request_transcript(): 200 seeded encode/decode/attack/attack
+# --list requests on the shipped instances, recorded before the request
+# path was reworked.
+REQUEST_DIGEST = "2ff3105a9c51bb426b1bd0b5af2054585340f28a8a8162c2f855995b4e287bec"
+SHIPPED = ("hamming7", "hamming7_zero", "repetition3", "rs7_3")
+
+
+def request_transcript(seed=13, per_instance=25):
+    """Exit code and stdout of a fixed request mix. For each shipped
+    instance, each round encodes a seeded message vector, then sends a
+    decode, an attack or an attack --list in rotation, with the receiver
+    and the known set drawn from the seed. Every broadcast is the one
+    encode printed, so every observation is consistent."""
+    from icsisec.fileio import load_instance
+    from icsisec.rng import Rng
+
+    rng = Rng(seed)
+    parts = []
+
+    def run(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+        parts.append(f"$ {argv[0]} {shlex.join(argv[2:])}\n{code}\n{out.getvalue()}")
+        return out.getvalue()
+
+    for name in SHIPPED:
+        path = str(INSTANCES / f"{name}.json")
+        instance = load_instance(path).instance
+        n, q = instance.n, instance.field.q
+        for i in range(per_instance):
+            x = [rng.below(q) for _ in range(n)]
+            broadcast = ",".join(run("encode", path, "--messages", ",".join(map(str, x))).split())
+            if i % 3 == 0:
+                receiver = 1 + rng.below(instance.m)
+                side = sorted(instance.side_info[receiver - 1])
+                run("decode", path, "--receiver", str(receiver), "--broadcast", broadcast,
+                    "--side", ",".join(f"{a}={x[a - 1]}" for a in side))
+            else:
+                known = sorted(rng.subset(range(1, n + 1), rng.below(n)))
+                argv = ["attack", path, "--known", ",".join(f"{a}={x[a - 1]}" for a in known),
+                        "--broadcast", broadcast]
+                run(*argv, *(["--list"] if i % 3 == 2 else []))
+    return "".join(parts)
+
+
+def request_digest():
+    return hashlib.sha256(request_transcript().encode("utf-8")).hexdigest()
+
+
+class TestRequestDigests:
+    def test_request_replies_are_pinned(self):
+        assert request_digest() == REQUEST_DIGEST
+
+    def test_request_replies_are_pinned_without_asserts(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", "import test_cli; print(test_cli.request_digest())"],
+            capture_output=True, text=True, cwd=str(ROOT), env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == REQUEST_DIGEST

@@ -304,6 +304,57 @@ class TestListAttack:
             list_attack(code, view)
 
 
+LIST_FIELDS = (F2, F3, Field(2, 2), Field(5), Field(2, 3), Field(3, 2))
+
+
+@st.composite
+def list_observations(draw):
+    """(code, known, x): a code with n <= 6 and q^n <= 4096, a known set and
+    a message vector, so the observation is consistent."""
+    field = draw(st.sampled_from(LIST_FIELDS))
+    n = draw(st.integers(2, max(m for m in range(2, 7) if field.q ** m <= 4096)))
+    k = draw(st.integers(1, n - 1))
+    entry = st.one_of(st.just(0), st.integers(0, field.q - 1))
+    rows = draw(st.tuples(*[st.tuples(*[entry] * n)] * k))
+    try:
+        code = LinearCode(Matrix(field, rows))
+    except ZeroCodeError:
+        assume(False)
+    known = draw(st.sets(st.integers(1, n), max_size=n - 1))
+    x = draw(st.tuples(*[st.integers(0, field.q - 1)] * n))
+    return code, known, x
+
+
+class TestListAttackBruteForce:
+    """list_attack against a filter over all q^n message vectors, which
+    itertools.product yields in lexicographic order."""
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(list_observations())
+    def test_list_equals_filter_in_order(self, drawn):
+        code, known, x = drawn
+        field = code.field
+        s = broadcast_of(code, x)
+        view = AdversaryView.of({i: x[i - 1] for i in known}, s)
+        try:
+            candidates = list_attack(code, view)
+        except RankDeficientError:
+            assume(False)
+        brute = [
+            z for z in itertools.product(range(field.q), repeat=code.length)
+            if all(z[i - 1] == x[i - 1] for i in known) and broadcast_of(code, z) == s
+        ]
+        assert [c.entries for c in candidates] == brute
+        # An unknown index is recovered exactly when every candidate agrees on it.
+        pinned = {
+            i: brute[0][i - 1]
+            for i in range(1, code.length + 1)
+            if i not in known and len({z[i - 1] for z in brute}) == 1
+        }
+        assert candidates.outcome.mapping == pinned
+        assert complete_insecurity_attack(code, view) == candidates.outcome
+
+
 class TestCompleteInsecurityAttack:
     def test_strength_four_on_hamming(self):
         code = hamming()
@@ -394,6 +445,23 @@ class TestSecurityReport:
         assert report.strengths[0].weak_witness is None
         cex = report.strengths[0].complete_counterexample
         assert cex is not None and cex.known == frozenset()
+
+    def test_scan_hits_are_reduced_once(self, monkeypatch):
+        # hamming7: t = 0, 1, 2 confirm {1..t}, and the t = 3 scan's first
+        # set is its hit, whose hidden index the report reuses.
+        calls = []
+        original = security_module._reduce_unknowns
+
+        def counted(code, known, broadcast):
+            calls.append(sorted(known))
+            return original(code, known, broadcast)
+
+        monkeypatch.setattr(security_module, "_reduce_unknowns", counted)
+        report = security_report(hamming())
+        assert calls == [[], [1], [1, 2], [1, 2, 3]]
+        assert report.strengths[3].complete_counterexample == RecoveryCounterexample(
+            known=frozenset({1, 2, 3}), resisted=4
+        )
 
     def test_identity_code_report(self):
         report = security_report(identity3())

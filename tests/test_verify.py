@@ -304,6 +304,22 @@ class TestFailureReporting:
         assert failure["check"] == "macwilliams"
         assert failure["d_dual"] == failure["walked_d_dual"] - 1
 
+    def test_swapped_candidates_fail_list_order(self, monkeypatch):
+        original = verify_module.list_attack
+
+        def swapped(code, view):
+            candidates = list(original(code, view))
+            if len(candidates) > 1:
+                candidates[0], candidates[1] = candidates[1], candidates[0]
+            return tuple(candidates)
+
+        monkeypatch.setattr(verify_module, "list_attack", swapped)
+        result = run_suite("thm3")
+        assert not result.ok
+        failure = result.failures[0]
+        assert failure["check"] == "list_order"
+        assert result.cases <= 447
+
     def test_flipped_attack_value_fails_attack_route(self, monkeypatch):
         # At the thm4 threshold every reduced row recovers an index, so
         # shifting the first row's right-hand side corrupts one value.
