@@ -154,6 +154,12 @@ class Field:
     __slots__ = ("p", "m", "q", "poly", "_exp", "_log")
 
     def __init__(self, p: int, m: int = 1, poly: Optional[Sequence[int]] = None):
+        # Past the cap's bit length, p alone or 2^m alone already exceeds
+        # it; reject that before the primality test and the power, whose
+        # costs grow with p and m.
+        bits = MAX_FIELD_ORDER.bit_length()
+        if p > 1 and (p.bit_length() > bits or m > bits):
+            raise FieldTooLargeError(f"q = {p}^{m} exceeds {MAX_FIELD_ORDER}")
         if not _is_prime(p):
             raise NotPrimeError(f"characteristic {p} is not prime")
         if m < 1:

@@ -2,12 +2,14 @@
 
 The weight spectrum and the first codeword of each weight come from one
 explicit walk over the code, in q^(k-1) fibers of q codewords, behind a
-q^k <= 2^24 guard. The dual distance always comes from that same walk,
-through the MacWilliams identity in exact integer arithmetic; the dual
-code itself (a nullspace basis) is built only where a dual codeword is
-needed or where the transform is cross-checked. The orthogonal-array
-tuple count and the systematic Reed-Solomon construction support the
-security analysis layered on top.
+q^k <= 2^24 guard. Over F2 the walk packs each codeword into one int
+(_binary_span): a step is one XOR and a weight one bit count. The dual
+distance always comes from that same walk, through the MacWilliams
+identity in exact integer arithmetic; the dual code itself (a nullspace
+basis) is built only where a dual codeword is needed or where the
+transform is cross-checked. The orthogonal-array tuple count and the
+systematic Reed-Solomon construction support the security analysis
+layered on top.
 
 A LinearCode normalizes whatever spanning rows it is given to the reduced
 row echelon basis, so two equal row spaces always produce identical
@@ -20,7 +22,7 @@ import itertools
 from collections import Counter
 from functools import cached_property
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
@@ -111,6 +113,25 @@ def iterate_span(
         yield tuple(current)
 
 
+def _pack_bits(row: Sequence[int]) -> int:
+    """A binary vector as one int, coordinate 1 as the top bit."""
+    return int("".join(map(str, row)), 2)
+
+
+def _binary_span(rows: Sequence[int]) -> Iterator[int]:
+    """Yield the span of binary rows packed by _pack_bits, in iterate_span's
+    order (each word once when the rows are independent): word i is the
+    XOR of the rows at the 1 bits of i, row 0 the lowest. Stepping
+    i - 1 -> i flips digits 0..d, d = ctz(i), so each step XORs one prefix
+    r_0 ^ ... ^ r_d. No rows yields only 0."""
+    prefixes = list(itertools.accumulate(rows, xor))
+    word = 0
+    yield word
+    for i in range(1, 1 << len(rows)):
+        word ^= prefixes[(i & -i).bit_length() - 1]
+        yield word
+
+
 def _fiber_roots(field: Field, r0: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     """(j, root) for each coordinate j with r0[j] != 0, where root[v] =
     -v / r0[j]: the fiber word b + c*r0 vanishes at j exactly for
@@ -186,11 +207,22 @@ class LinearCode:
         field = self.field
         n, q = self.length, field.q
         rows = self.generator.entries
+        counts = [0] * (n + 1)
+        firsts: dict[int, tuple[int, ...]] = {}
+        if q == 2:
+            # Over F2 each fiber is {b, b ^ r0} as _pack_bits ints, and a
+            # weight is one bit count.
+            packed_r0 = _pack_bits(rows[0])
+            for b in _binary_span([_pack_bits(row) for row in rows[1:]]):
+                for word in (b, b ^ packed_r0):
+                    w = word.bit_count()
+                    if not counts[w] and w:
+                        firsts[w] = tuple(map(int, f"{word:0{n}b}"))
+                    counts[w] += 1
+            return tuple(counts), firsts
         r0 = rows[0]
         add, mul = field.add, field.mul
         roots = _fiber_roots(field, r0)
-        counts = [0] * (n + 1)
-        firsts: dict[int, tuple[int, ...]] = {}
         for b in iterate_span(field, rows[1:], n):
             zeros = [0] * q
             for j, root in roots:

@@ -62,7 +62,9 @@ from .code import (
     MAX_ENUMERATION,
     LinearCode,
     TooLargeToEnumerateError,
+    _binary_span,
     _fiber_roots,
+    _pack_bits,
     iterate_span,
 )
 
@@ -564,9 +566,11 @@ def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
     (or equal) t-prefix, so the first hit at strength t is the top t bits
     of the largest mask with at least t zeros. The walk runs over fibers
     b + c*h0 as LinearCode._spectrum does and keeps the largest mask per
-    zero count. The result does not depend on the order of the dual rows,
-    so they are taken lightest first: h0 then has the fewest root tables,
-    and the odometer's fastest digit adds the sparsest row.
+    zero count. Over F2 a dual word packs into the same layout, so its zero
+    mask is the complement, and the fiber {b, b ^ h0} takes two XORs and
+    two bit counts. The result does not depend on the order of the dual
+    rows, so they are taken lightest first: h0 then has the fewest root
+    tables, and the odometer's fastest digit adds the sparsest row.
     """
     n, k = code.length, code.dimension
     field = code.field
@@ -576,18 +580,27 @@ def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
             f"q^(n-k) = {q}^{n - k} dual codewords exceed {MAX_ENUMERATION}"
         )
     rows = sorted(code.dual.generator.entries, key=lambda row: n - row.count(0))
-    h0 = rows[0]
-    roots = [(j, root, 1 << (n - 1 - j)) for j, root in _fiber_roots(field, h0)]
-    fixed = [(j, 1 << (n - 1 - j)) for j in range(n) if not h0[j]]
     best = [-1] * (n + 1)
-    for b in iterate_span(field, rows[1:], n):
-        masks = [sum(bit for j, bit in fixed if not b[j])] * q
-        for j, root, bit in roots:
-            masks[root[b[j]]] |= bit
-        for mask in masks:
-            zeros = mask.bit_count()
-            if mask > best[zeros]:
-                best[zeros] = mask
+    if q == 2:
+        full = (1 << n) - 1
+        packed_h0 = _pack_bits(rows[0])
+        for b in _binary_span([_pack_bits(row) for row in rows[1:]]):
+            for mask in (full ^ b, full ^ b ^ packed_h0):
+                zeros = mask.bit_count()
+                if mask > best[zeros]:
+                    best[zeros] = mask
+    else:
+        h0 = rows[0]
+        roots = [(j, root, 1 << (n - 1 - j)) for j, root in _fiber_roots(field, h0)]
+        fixed = [(j, 1 << (n - 1 - j)) for j in range(n) if not h0[j]]
+        for b in iterate_span(field, rows[1:], n):
+            masks = [sum(bit for j, bit in fixed if not b[j])] * q
+            for j, root, bit in roots:
+                masks[root[b[j]]] |= bit
+            for mask in masks:
+                zeros = mask.bit_count()
+                if mask > best[zeros]:
+                    best[zeros] = mask
     # best[n] is the zero word's; a suffix maximum over the rest gives each t.
     hits = []
     largest = -1

@@ -88,10 +88,17 @@ class TestField:
             Field(1)
         with pytest.raises(ReduciblePolynomialError):
             Field(2, 2, poly=(1, 0, 1))
-        with pytest.raises(FieldTooLargeError):
+        with pytest.raises(FieldTooLargeError, match=r"^q = 2\^17 = 131072 exceeds 65536$"):
             Field(2, 17)
-        with pytest.raises(FieldTooLargeError):
+        with pytest.raises(FieldTooLargeError, match=r"^q = 65537\^1 = 65537 exceeds 65536$"):
             Field(65537)
+        # Rejected by size before the primality test (a Mersenne prime, by
+        # trial division for minutes) and before the power (2^400000000
+        # has too many digits to print).
+        with pytest.raises(FieldTooLargeError, match=r"^q = 2305843009213693951\^1 exceeds 65536$"):
+            Field(2**61 - 1)
+        with pytest.raises(FieldTooLargeError, match=r"^q = 2\^400000000 exceeds 65536$"):
+            Field(2, 400000000)
         with pytest.raises(ValueError):
             Field(5, 1, poly=(1, 1))
         with pytest.raises(ValueError):

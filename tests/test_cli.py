@@ -28,7 +28,9 @@ ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
 
 
-def run_cli(*args, env_extra=None, interpreter_flags=()):
+def run_cli(*args, env_extra=None, interpreter_flags=(), timeout=120):
+    """Run the CLI in a subprocess; a run past `timeout` seconds raises
+    subprocess.TimeoutExpired and fails the test instead of hanging it."""
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", str(ROOT / "src"))
     if env_extra:
@@ -39,6 +41,7 @@ def run_cli(*args, env_extra=None, interpreter_flags=()):
         text=True,
         cwd=str(ROOT),
         env=env,
+        timeout=timeout,
     )
 
 
@@ -592,6 +595,23 @@ class TestInputBoundary:
         assert code == 2
         assert out == ""
         assert f"side index {index} outside [1, 7]" in err
+
+    @pytest.mark.parametrize(
+        "field,message",
+        [
+            ({"p": 2**61 - 1}, "q = 2305843009213693951^1 exceeds 65536"),
+            ({"p": 2, "m": 400000000}, "q = 2^400000000 exceeds 65536"),
+        ],
+        ids=["mersenne61", "huge-m"],
+    )
+    def test_field_past_the_cap_is_exit_2(self, tmp_path, field, message):
+        # Rejected by size before a primality test by trial division (which
+        # does not return for this p) and before forming p^m.
+        path = write_doc(tmp_path, "big.json", {**THIN, "field": field})
+        result = run_cli("analyze", path, timeout=30)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", f"error: bad field: {message}\n"
+        )
 
     def test_out_of_range_poly_coefficient_is_exit_2(self, tmp_path, capsys):
         # 3 is not an element of F_2; it must not be read as 3 mod 2 = 1.

@@ -11,7 +11,7 @@ from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import icsisec.code as code_module
 from icsisec.algebra import Field, Matrix, Vector
@@ -28,7 +28,8 @@ from icsisec.code import (
     oa_tuple_counts,
     reed_solomon_code,
 )
-from icsisec.security import security_report
+from icsisec.rng import Rng
+from icsisec.security import _dual_first_hits, security_report
 
 F2 = Field(2)
 F3 = Field(3)
@@ -274,6 +275,81 @@ class TestFiberSpectrum:
         code = LinearCode(Matrix(field, rows))
         assert code.dimension == len(rows)
         self.check(code)
+
+
+def seeded_binary_code(seed, n, k, zero_column=None):
+    """A binary [n, k] code from fair bits of Rng(seed), redrawn from the
+    same stream until the rows are independent; `zero_column` (1-based)
+    is cleared in every row before the rank is taken."""
+    rng = Rng(seed)
+    while True:
+        rows = [[rng.below(2) for _ in range(n)] for _ in range(k)]
+        if zero_column is not None:
+            for row in rows:
+                row[zero_column - 1] = 0
+        if any(map(any, rows)):
+            code = LinearCode(Matrix(F2, tuple(map(tuple, rows))))
+            if code.dimension == k:
+                return code
+
+
+def packed(word):
+    """A binary vector as an int, coordinate 1 as the top bit."""
+    n = len(word)
+    return sum(v << (n - 1 - j) for j, v in enumerate(word))
+
+
+def brute_dual_first_hits(code):
+    """Entry t: the first t-subset in combinations order, i.e. the least
+    tuple, inside the zero set of a nonzero dual codeword; one entry for
+    every t that some such zero set reaches."""
+    zero_sets = [
+        tuple(j + 1 for j, v in enumerate(h) if not v) for h in code.dual.codewords() if any(h)
+    ]
+    most = max(map(len, zero_sets))
+    return [min(z[:t] for z in zero_sets if len(z) >= t) for t in range(most + 1)]
+
+
+# (seed, n, k, zero column): seeded binary codes past the known-set scan's
+# n <= 14, plus k = 1, n - k = 1 and a zero column.
+BINARY_CODES = {
+    "16_8": (1, 16, 8, None),
+    "20_10": (2, 20, 10, None),
+    "24_12": (3, 24, 12, None),
+    "k1": (4, 16, 1, None),
+    "n-k=1": (5, 12, 11, None),
+    "zero-column": (6, 16, 8, 5),
+}
+
+
+class TestBinaryWalker:
+    """The packed F2 walk behind _spectrum and _dual_first_hits against the
+    slow routes: iterate_span's order, a plain walk over every codeword, and
+    a brute force over every dual codeword."""
+
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 1)] * n), max_size=7)
+        .map(lambda rows: (n, rows))
+    ))
+    # No rows: the span is the zero word alone.
+    @example((5, []))
+    def test_span_order(self, case):
+        n, rows = case
+        walked = list(code_module._binary_span([packed(row) for row in rows]))
+        assert walked == [packed(w) for w in iterate_span(F2, rows, n)]
+
+    @pytest.mark.parametrize("name", BINARY_CODES)
+    def test_spectrum(self, name):
+        code = seeded_binary_code(*BINARY_CODES[name])
+        counts, firsts = plain_spectrum(code)
+        assert code.weight_distribution == counts
+        assert list(code.first_of_weight.items()) == list(firsts.items())
+
+    @pytest.mark.parametrize("name", BINARY_CODES)
+    def test_dual_first_hits(self, name):
+        code = seeded_binary_code(*BINARY_CODES[name])
+        assert _dual_first_hits(code) == brute_dual_first_hits(code)
 
 
 class TestBruteWeightOracle:

@@ -19,6 +19,7 @@ from icsisec.fileio import (
     report_to_dict,
 )
 from icsisec.icsi import MalformedInstanceError, build_scheme
+from icsisec.rng import Rng
 from icsisec.security import security_report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -203,6 +204,49 @@ print(hashlib.sha256(dumps_report(security_report(code), code).encode("utf-8")).
 """
 
 
+# SHA-256 of dumps_report(security_report(code, sampled=True), code) for
+# seeded random binary codes past the known-set scan's n <= 14, whose
+# counterexamples come from the walk of the dual: (seed, n, k, digest).
+BINARY_REPORT_DIGESTS = {
+    "rand16_8": (1, 16, 8, "a7cfa99ea4420438f3c0c6e22574172d229e134bcbdf1ab013308d8784bf48b6"),
+    "rand20_10": (2, 20, 10, "c54cfb520a56de4ceecd4065c3081dc8267b399741931f8e24f06084df9161c3"),
+    "rand24_12": (3, 24, 12, "28989f154647fb54590be05cb1c0e5452a1c32142b7f2bf0760f2eceb5e5ba73"),
+}
+
+SAMPLED_DIGEST_SCRIPT = """
+import hashlib, json, sys
+from icsisec.algebra import Field, Matrix
+from icsisec.code import LinearCode
+from icsisec.fileio import dumps_report
+from icsisec.security import security_report
+code = LinearCode(Matrix(Field(2), tuple(map(tuple, json.loads(sys.argv[1])))))
+text = dumps_report(security_report(code, sampled=True), code)
+print(hashlib.sha256(text.encode("utf-8")).hexdigest())
+"""
+
+
+def seeded_binary_rows(seed, n, k):
+    """k independent binary rows of length n: fair bits of Rng(seed),
+    redrawn from the same stream until the rows are independent."""
+    rng = Rng(seed)
+    while True:
+        rows = tuple(tuple(rng.below(2) for _ in range(n)) for _ in range(k))
+        if any(map(any, rows)) and LinearCode(Matrix(Field(2), rows)).dimension == k:
+            return rows
+
+
+def run_optimized(script, arg):
+    """stdout of `python -O -c script arg`, which must exit 0."""
+    env = dict(os.environ)
+    env.setdefault("PYTHONPATH", str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script, json.dumps(arg)],
+        capture_output=True, text=True, cwd=str(ROOT), env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
 class TestReportDigests:
     @pytest.mark.parametrize("name", sorted(RS_REPORT_DIGESTS))
     def test_report_bytes_are_pinned(self, name):
@@ -212,12 +256,16 @@ class TestReportDigests:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_report_bytes_are_pinned_without_asserts(self):
-        env = dict(os.environ)
-        env.setdefault("PYTHONPATH", str(ROOT / "src"))
         for field_args, n, k, digest in RS_REPORT_DIGESTS.values():
-            result = subprocess.run(
-                [sys.executable, "-O", "-c", DIGEST_SCRIPT, json.dumps([field_args, n, k])],
-                capture_output=True, text=True, cwd=str(ROOT), env=env,
-            )
-            assert result.returncode == 0, result.stderr
-            assert result.stdout.strip() == digest
+            assert run_optimized(DIGEST_SCRIPT, [field_args, n, k]) == digest
+
+    @pytest.mark.parametrize("name", sorted(BINARY_REPORT_DIGESTS))
+    def test_sampled_binary_report_bytes_are_pinned(self, name):
+        seed, n, k, digest = BINARY_REPORT_DIGESTS[name]
+        code = LinearCode(Matrix(Field(2), seeded_binary_rows(seed, n, k)))
+        text = dumps_report(security_report(code, sampled=True), code)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_sampled_binary_report_bytes_are_pinned_without_asserts(self):
+        for seed, n, k, digest in BINARY_REPORT_DIGESTS.values():
+            assert run_optimized(SAMPLED_DIGEST_SCRIPT, seeded_binary_rows(seed, n, k)) == digest

@@ -233,15 +233,19 @@ class TestWeakSecurityWitness:
 
     def test_witness_recovers_the_message(self, monkeypatch):
         walks = Counter()
-        original = code_module.iterate_span
 
-        def counted(*args, **kwargs):
-            walks["calls"] += 1
-            for vector in original(*args, **kwargs):
-                walks["yields"] += 1
-                yield vector
+        def counting(name):
+            original = getattr(code_module, name)
 
-        monkeypatch.setattr(code_module, "iterate_span", counted)
+            def counted(*args, **kwargs):
+                walks[name, "calls"] += 1
+                for vector in original(*args, **kwargs):
+                    walks[name, "yields"] += 1
+                    yield vector
+            return counted
+
+        for name in ("iterate_span", "_binary_span"):
+            monkeypatch.setattr(code_module, name, counting(name))
         rng = Rng(11)
         for code in (hamming(), reed_solomon_code(7, 3, Field(2, 3))):
             walks.clear()
@@ -259,8 +263,13 @@ class TestWeakSecurityWitness:
                     witness.combination.dot(Vector(field, x)),
                 )
                 assert recovered == x[witness.exposed - 1]
-            # one walk of q^(k-1) fibers serves the distribution and every witness
-            assert walks == {"calls": 1, "yields": field.q ** (code.dimension - 1)}
+            # one walk of q^(k-1) fibers serves the distribution and every
+            # witness: the packed binary walk over F2, iterate_span otherwise
+            walker = "_binary_span" if field.q == 2 else "iterate_span"
+            assert walks == {
+                (walker, "calls"): 1,
+                (walker, "yields"): field.q ** (code.dimension - 1),
+            }
 
     def test_full_weight_witness(self):
         code = LinearCode.from_rows([Vector(F2, (1, 1, 1))])
