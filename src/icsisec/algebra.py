@@ -7,13 +7,23 @@ modular arithmetic; extension fields are built once per (p, m, polynomial)
 and afterwards multiply through log/antilog tables, which keeps every
 operation exact. Field order is capped at 65536.
 
-Row reduction runs on one row operation, Field._sub_scaled (row - c*other
-for a whole row at once), used both to eliminate and to normalise a pivot
-row. It has the three branches of Field.add: modular arithmetic for prime
-fields, XOR and one lookup in a doubled exp table per product in
-characteristic 2 (the table-driven GF(2^m) row operations of Rizzo's
-erasure codes), and the scalar add and mul for odd-characteristic
-extensions. A scalar Gauss-Jordan in the tests is its slow route.
+The log/exp tables come from the first multiplicative generator in
+canonical order, found by testing each candidate's order against the prime
+factors of q - 1 with a table-free shift-and-add product; the powers of the
+generator then fill exp in O(q), since multiplying by it is linear over
+F_p and splits into one lookup for the low digits and one for the high.
+
+Row reduction over a field with q <= 16 (F2, F3, F4, F5, F7, GF(8),
+GF(9), F11, F13, GF(16)) runs on packed rows, one entry per byte, in the
+manner of the table-driven row operations of Rizzo's erasure codes. A row
+operation row - c*pivot packs each pair of entries into one byte, a << 4 |
+b with b from -c*pivot, through one shift and OR of the rows as integers,
+and maps every byte to a + b with one bytes.translate. The field supplies
+the pair-sum table, a constant per (p, m), and the table b -> -c*b per
+coefficient, built in O(q) on first use; normalising a pivot row is one
+translate. Larger fields run on Field._sub_scaled (row - c*other for a
+whole row at once), which has the three branches of Field.add. A scalar
+Gauss-Jordan in the tests is the slow route of both.
 
 Index convention: every public index argument or result (supports, pivot
 columns, unit-vector positions, column selections) is 1-based, matching the
@@ -34,7 +44,7 @@ constructors Vector._raw and Matrix._raw instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 MAX_FIELD_ORDER = 65536
 
@@ -137,6 +147,94 @@ def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AlgebraError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _axpy(a: int, b: int, c: int, p: int) -> int:
+    """a + c*b digit by digit in base p: the sum in F_p[x] of canonical
+    integers a and c*b, for a scalar c in F_p."""
+    out = 0
+    scale = 1
+    while a or b:
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        out += (da + c * db) % p * scale
+        scale *= p
+    return out
+
+
+def _multiplier(p: int, m: int, poly: Sequence[int]) -> Callable[[int, int], int]:
+    """Table-free product of canonical integers modulo the monic `poly` of
+    degree m, shift-and-add over the digits of the second factor: a times
+    x is one shift, plus one XOR with the polynomial in characteristic 2
+    and one digit-wise subtraction of it otherwise. Used only while the
+    log/exp tables are being built."""
+    q = p ** m
+    if p == 2:
+        full = _undigits(poly, 2)
+
+        def times(a: int, b: int) -> int:
+            out = 0
+            while b:
+                if b & 1:
+                    out ^= a
+                b >>= 1
+                a <<= 1
+                if a & q:
+                    a ^= full
+            return out
+
+        return times
+    # x^m = -(poly without its leading term), so x * (top x^(m-1) + low)
+    # is low shifted up one digit, minus top times that tail.
+    tail = _undigits(poly[:m], p)
+    high = q // p
+
+    def times(a: int, b: int) -> int:
+        out = 0
+        while b:
+            b, c = divmod(b, p)
+            if c:
+                out = _axpy(out, a, c, p)
+            top, a = divmod(a, high)
+            a *= p
+            if top:
+                a = _axpy(a, tail, p - top, p)
+        return out
+
+    return times
+
+
+def _pair_sums(p: int, m: int) -> bytes:
+    """The translate table taking a packed pair a << 4 | b of entries of
+    F_(p^m), p^m <= 16, to a + b; add's three branches."""
+    pairs = [(i >> 4, i & 15) for i in range(256)]
+    if m == 1:
+        return bytes((a + b) % p for a, b in pairs)
+    if p == 2:
+        return bytes(a ^ b for a, b in pairs)
+    return bytes(_axpy(a, b, 1, p) for a, b in pairs)
+
+
+# Addition of packed rows for every field with q <= 16; it depends on
+# (p, m) alone, since the reduction polynomial plays no part in a sum.
+_PAIR_SUMS = {
+    (p, m): _pair_sums(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 5) if p ** m <= 16
+}
+
+
 class Field:
     """The finite field with q = p^m elements.
 
@@ -151,7 +249,7 @@ class Field:
     Fields compare equal iff (p, m, polynomial) coincide.
     """
 
-    __slots__ = ("p", "m", "q", "poly", "_exp", "_log")
+    __slots__ = ("p", "m", "q", "poly", "_exp", "_log", "_pair_sums", "_neg_multiples")
 
     def __init__(self, p: int, m: int = 1, poly: Optional[Sequence[int]] = None):
         # Past the cap's bit length, p alone or 2^m alone already exceeds
@@ -191,42 +289,51 @@ class Field:
                     )
             self.poly = coeffs
             self._build_tables()
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        # Polynomial product mod the reduction polynomial; table-free, used
-        # only while the tables themselves are being built.
-        p, m = self.p, self.m
-        da = _digits(a, p, m)
-        db = _digits(b, p, m)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        poly = self.poly
-        assert poly is not None
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i]
-            if c:
-                for j in range(m + 1):
-                    prod[i - m + j] = (prod[i - m + j] - c * poly[j]) % p
-        return _undigits(prod[:m], p)
+        self._pair_sums = _PAIR_SUMS.get((p, m))
+        self._neg_multiples: Optional[list[Optional[bytes]]] = (
+            None if self._pair_sums is None else [None] * q
+        )
 
     def _build_tables(self) -> None:
         # The reduction polynomial need not be primitive, so search the
-        # elements in canonical order for a multiplicative generator.
-        q = self.q
-        exp: list[int] = []
-        for g in range(2, q):
-            exp = [1]
-            v = g
-            while v != 1 and len(exp) < q:
-                exp.append(v)
-                v = self._mul_raw(v, g)
-            if len(exp) == q - 1:
+        # elements in canonical order for a multiplicative generator: g is
+        # one iff g^((q-1)/r) != 1 for every prime r dividing q - 1. The
+        # elements below p form the prime subfield, whose units have order
+        # at most p - 1 < q - 1, so the search starts at p.
+        p, q = self.p, self.q
+        assert self.poly is not None
+        times = _multiplier(p, self.m, self.poly)
+        order = q - 1
+        cofactors = [order // r for r in _prime_factors(order)]
+
+        def power(g: int, e: int) -> int:
+            out = 1
+            while e:
+                if e & 1:
+                    out = times(out, g)
+                g = times(g, g)
+                e >>= 1
+            return out
+
+        for g in range(p, q):
+            if all(power(g, e) != 1 for e in cofactors):
                 break
         else:
             raise AlgebraError("multiplicative group has no generator; not a field")
+        # Multiplying by g is F_p-linear: v*g is (v's low digits)*g plus
+        # (v's high digits)*g, two lookups and one digit-wise sum.
+        split = p ** (self.m // 2)
+        low = [times(u, g) for u in range(split)]
+        high = [times(u * split, g) for u in range(q // split)]
+        exp = [1] * order
+        v = 1
+        if p == 2:
+            for i in range(1, order):
+                v = exp[i] = low[v % split] ^ high[v // split]
+        else:
+            for i in range(1, order):
+                hi, lo = divmod(v, split)
+                v = exp[i] = _axpy(low[lo], high[hi], 1, p)
         log = [0] * q
         for i, val in enumerate(exp):
             log[val] = i
@@ -313,6 +420,26 @@ class Field:
             return [a ^ exp[lc + log[b]] if b else a for a, b in zip(row, other)]
         sub, mul = self.sub, self.mul
         return [sub(a, mul(c, b)) if b else a for a, b in zip(row, other)]
+
+    def _neg_multiple(self, c: int) -> bytes:
+        """The translate table b -> -c*b of a packed row (q <= 16), built
+        in O(q) the first time it is asked for."""
+        tables = self._neg_multiples
+        assert tables is not None
+        table = tables[c]
+        if table is None:
+            q = self.q
+            if self.m == 1:
+                p = self.p
+                entries = [(-c * b) % p for b in range(q)]
+            else:
+                exp, log = self._exp, self._log
+                assert exp is not None and log is not None
+                # -1 is g^((q-1)/2) in odd characteristic and 1 in characteristic 2.
+                lc = (log[c] + (0 if self.p == 2 else (q - 1) // 2)) % (q - 1)
+                entries = [0] + [exp[lc + log[b]] for b in range(1, q)]
+            table = tables[c] = bytes(entries).ljust(256, b"\0")
+        return table
 
     def check_value(self, value: int) -> int:
         if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < self.q:
@@ -501,32 +628,62 @@ def _rref_raw(
     rows and the 0-based pivot column list. With `width`, pivots are taken
     only among the first `width` columns; the columns after them (an
     augmented right-hand side) are carried through every row operation.
+
+    For q <= 16 the rows are packed, one entry per byte. Then row - c*pivot
+    is the bytes of (row << 4 | M) mapped through the field's pair-sum
+    table, where M = pivot mapped through its b -> -c*b table is formed
+    once per pivot row and coefficient, and normalising a pivot row is one
+    map. Larger fields run on Field._sub_scaled.
     """
-    mat = [list(r) for r in rows]
+    pair_sums = field._pair_sums
+    if pair_sums is None:
+        mat: list = [list(r) for r in rows]
+        sub_scaled = field._sub_scaled
+    else:
+        mat = [bytes(r) for r in rows]
+        tables = field._neg_multiples
+        from_bytes = int.from_bytes
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-    sub_scaled = field._sub_scaled
     pivots: list[int] = []
     r = 0
     for c in range(ncols if width is None else width):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if mat[pr][c]:
+                break
+        else:
             continue
         if pr != r:
             mat[r], mat[pr] = mat[pr], mat[r]
         pivot = mat[r][c]
         if pivot != 1:
-            # row - (1 - 1/pivot)*row is row/pivot.
-            mat[r] = sub_scaled(mat[r], field.sub(1, field.inv(pivot)), mat[r])
+            if pair_sums is None:
+                # row - (1 - 1/pivot)*row is row/pivot.
+                mat[r] = sub_scaled(mat[r], field.sub(1, field.inv(pivot)), mat[r])
+            else:
+                mat[r] = mat[r].translate(field._neg_multiple(field.neg(field.inv(pivot))))
         prow = mat[r]
-        for i in range(nrows):
-            coef = mat[i][c]
-            if coef and i != r:
-                mat[i] = sub_scaled(mat[i], coef, prow)
+        if pair_sums is None:
+            for i in range(nrows):
+                coef = mat[i][c]
+                if coef and i != r:
+                    mat[i] = sub_scaled(mat[i], coef, prow)
+        else:
+            multiples: dict[int, int] = {}
+            for i, row in enumerate(mat):
+                coef = row[c]
+                if coef and i != r:
+                    scaled = multiples.get(coef)
+                    if scaled is None:
+                        table = tables[coef] or field._neg_multiple(coef)
+                        scaled = multiples[coef] = from_bytes(prow.translate(table), "big")
+                    mat[i] = ((from_bytes(row, "big") << 4) | scaled).to_bytes(ncols, "big").translate(pair_sums)
         pivots.append(c)
         r += 1
+    if pair_sums is not None:
+        mat = [list(row) for row in mat]
     return mat, pivots
 
 

@@ -378,22 +378,30 @@ def _macwilliams(distribution: Sequence[int], q: int, dimension: int) -> tuple[i
 
     For a linear [n, k] code over F_q with A_i codewords of weight i, the
     dual has B_j = (1/q^k) * sum_i A_i K_j(i) codewords of weight j, where
-    K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s) is the Krawtchouk
-    polynomial (MacWilliams & Sloane, ch. 5). Everything is exact integer
-    arithmetic; a remainder in the division, a negative count or B_0 != 1
-    means `distribution` was not a linear [n, k] code's and raises.
+    the Krawtchouk value K_j(i) is the coefficient of z^j in
+    (1 + (q-1)z)^(n-i) (1 - z)^i (MacWilliams & Sloane, ch. 5). Row i + 1
+    of that table is row i times (1 - z) / (1 + (q-1)z), one exact pass.
+    Everything is exact integer arithmetic; a remainder in the division, a
+    negative count or B_0 != 1 means `distribution` was not a linear
+    [n, k] code's and raises.
     """
     n = len(distribution) - 1
     size = q ** dimension
+    totals = [0] * (n + 1)
+    krawtchouk = [comb(n, j) * (q - 1) ** j for j in range(n + 1)]
+    for i, a in enumerate(distribution):
+        if a:
+            for j, value in enumerate(krawtchouk):
+                totals[j] += a * value
+        # Times (1 - z), then divided by (1 + (q-1)z), which divides it
+        # while i < n: c_j = (k_j - k_(j-1)) - (q-1) c_(j-1).
+        previous = c = 0
+        for j, value in enumerate(krawtchouk):
+            c = value - previous - (q - 1) * c
+            previous = value
+            krawtchouk[j] = c
     dual = []
-    for j in range(n + 1):
-        total = 0
-        for i, a in enumerate(distribution):
-            if a:
-                total += a * sum(
-                    (-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s)
-                    for s in range(min(i, j) + 1)
-                )
+    for j, total in enumerate(totals):
         count, remainder = divmod(total, size)
         if remainder or count < 0:
             raise MacWilliamsError(

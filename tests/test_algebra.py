@@ -254,16 +254,70 @@ class TestRref:
         assert rank == len(_rref_raw(m.field, list(zip(*m.entries)))[1])
 
 
+def poly_product(field, a, b):
+    """a*b in an extension field: the product of the digit polynomials,
+    reduced modulo the field's polynomial one digit at a time."""
+    p, m, poly = field.p, field.m, field.poly
+    da = [a // p ** i % p for i in range(m)]
+    db = [b // p ** i % p for i in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(da):
+        for j, bj in enumerate(db):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for i in range(2 * m - 2, m - 1, -1):
+        c = prod[i]
+        for j in range(m + 1):
+            prod[i - m + j] = (prod[i - m + j] - c * poly[j]) % p
+    return sum(d * p ** i for i, d in enumerate(prod[:m]))
+
+
+def tables_by_polynomial_product(field):
+    """exp and log of an extension field from the first element in
+    canonical order whose powers, walked by poly_product, reach q - 1
+    distinct values before 1."""
+    q = field.q
+    for g in range(2, q):
+        exp, v = [1], g
+        while v != 1:
+            exp.append(v)
+            v = poly_product(field, v, g)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    return exp, log
+
+
+EXTENSIONS = [
+    (p, m) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for m in range(2, 11) if p ** m <= 1024
+]
+
+
+@pytest.mark.parametrize("p,m", EXTENSIONS, ids=str)
+def test_tables_match_polynomial_product(p, m):
+    field = Field(p, m)
+    exp, log = tables_by_polynomial_product(field)
+    assert field._exp == exp + exp
+    assert field._log == log
+
+
 @functools.cache
 def scalar_ops(field):
-    """add, sub, mul and inv of a field element by element, from the
-    polynomial product instead of the log/exp tables."""
+    """add, sub, mul and inv of a field element by element, the product
+    tabulated from poly_product instead of the log/exp tables."""
     if field.m == 1:
-        def mul(a, b):
+        def product(a, b):
             return a * b % field.p
     else:
-        mul = field._mul_raw
-    inverse = {a: next(b for b in range(1, field.q) if mul(a, b) == 1) for a in range(1, field.q)}
+        def product(a, b):
+            return poly_product(field, a, b)
+    products = [[product(a, b) for b in range(field.q)] for a in range(field.q)]
+
+    def mul(a, b):
+        return products[a][b]
+
+    inverse = {a: products[a].index(1) for a in range(1, field.q)}
     return field.add, field.sub, mul, inverse.__getitem__
 
 
@@ -291,19 +345,20 @@ def scalar_gauss_jordan(field, rows, width=None):
     return mat, pivots
 
 
-# GF(9) and GF(25) take the row operation's odd-extension branch.
-KERNEL_FIELDS = (
-    F2, F3, F5, Field(13), F4, F8, F9, Field(2, 4), Field(5, 2),
-)
+# Every field with q <= 16 takes the packed rows.
+PACKED_FIELDS = (F2, F3, F4, F5, Field(7), F8, F9, Field(11), Field(13), Field(2, 4))
+# F17, GF(25) and GF(32) take Field._sub_scaled, GF(25) its odd-extension
+# branch.
+KERNEL_FIELDS = PACKED_FIELDS + (Field(17), Field(5, 2), Field(2, 5))
 
 
 @st.composite
-def kernel_matrices(draw):
-    """(field, rows, width): up to 6 x 8, entries biased to zero, with a zero
-    row or a repeated combination of rows in some draws."""
+def kernel_matrices(draw, max_rows=6, max_cols=8):
+    """(field, rows, width): up to max_rows x max_cols, entries biased to
+    zero, with a zero row or a repeated combination of rows in some draws."""
     field = draw(st.sampled_from(KERNEL_FIELDS))
-    nrows = draw(st.integers(1, 6))
-    ncols = draw(st.integers(1, 8))
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
     entry = st.one_of(st.just(0), st.integers(0, field.q - 1))
     rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
     shape = draw(st.sampled_from(("plain", "zero row", "dependent row")))
@@ -318,14 +373,36 @@ def kernel_matrices(draw):
 
 
 class TestRowKernel:
-    """_rref_raw runs on Field._sub_scaled; a scalar Gauss-Jordan over the
-    table-free product is its slow route."""
+    """_rref_raw runs on packed byte rows and the field's pair-sum and
+    b -> -c*b tables for q <= 16, and on Field._sub_scaled beyond; a scalar
+    Gauss-Jordan over the table-free product is the slow route of both."""
 
     @settings(deadline=None, derandomize=True, max_examples=300)
     @given(kernel_matrices())
     def test_rref_matches_scalar_gauss_jordan(self, drawn):
         field, rows, width = drawn
         assert _rref_raw(field, rows, width=width) == scalar_gauss_jordan(field, rows, width)
+
+    @settings(deadline=None, derandomize=True, max_examples=25)
+    @given(kernel_matrices(max_rows=20, max_cols=24))
+    def test_scheme_sized_rref_matches_scalar_gauss_jordan(self, drawn):
+        field, rows, width = drawn
+        assert _rref_raw(field, rows, width=width) == scalar_gauss_jordan(field, rows, width)
+
+    @pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
+    def test_packed_row_operation_every_pair(self, field):
+        # Row 2 minus c times row 1 meets every (a, b) entry pair, so every
+        # pair sum and every -c*b product; a lone row scaled by 1/c reads
+        # the table of -1/c.
+        _, sub, mul, inv = scalar_ops(field)
+        pivot_row = [b for a in range(field.q) for b in range(field.q)]
+        other = [a for a in range(field.q) for b in range(field.q)]
+        for c in range(1, field.q):
+            expected = [0] + [sub(a, mul(c, b)) for a, b in zip(other, pivot_row)]
+            rows, _ = _rref_raw(field, [[1] + pivot_row, [c] + other], width=1)
+            assert rows == [[1] + pivot_row, expected]
+            rows, _ = _rref_raw(field, [[c] + pivot_row], width=1)
+            assert rows == [[1] + [mul(inv(c), b) for b in pivot_row]]
 
     @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
     def test_sub_scaled_every_coefficient(self, field):

@@ -682,16 +682,28 @@ class TestReadme:
 REQUEST_DIGEST = "2ff3105a9c51bb426b1bd0b5af2054585340f28a8a8162c2f855995b4e287bec"
 SHIPPED = ("hamming7", "hamming7_zero", "repetition3", "rs7_3")
 
+# SHA-256 of the same request mix, without --list, on two generated
+# instances whose fields take the packed row reduction (20 receivers of 24
+# messages over F3, 16 of 20 over GF(16)), recorded before the packed rows.
+PACKED_DIGEST = "3b94ae7dbca4a1b39f7c17993f23a46dc7012efbe2380f37dc62249bbcb50f78"
+RANDOM_INSTANCES = (
+    ("rand24_f3", {"p": 3}, 24, 20),
+    ("rand20_gf16", {"p": 2, "m": 4, "poly": [1, 1, 0, 0, 1]}, 20, 16),
+)
 
-def request_transcript(seed=13, per_instance=25):
-    """Exit code and stdout of a fixed request mix. For each shipped
-    instance, each round encodes a seeded message vector, then sends a
-    decode, an attack or an attack --list in rotation, with the receiver
-    and the known set drawn from the seed. Every broadcast is the one
-    encode printed, so every observation is consistent."""
+
+def request_transcript(paths=None, seed=13, per_instance=25, listed=True):
+    """Exit code and stdout of a fixed request mix. For each instance
+    (the shipped ones by default), each round encodes a seeded message
+    vector, then sends a decode, an attack or (with `listed`) an attack
+    --list in rotation, with the receiver and the known set drawn from the
+    seed. Every broadcast is the one encode printed, so every observation
+    is consistent."""
     from icsisec.fileio import load_instance
     from icsisec.rng import Rng
 
+    if paths is None:
+        paths = [str(INSTANCES / f"{name}.json") for name in SHIPPED]
     rng = Rng(seed)
     parts = []
 
@@ -702,8 +714,7 @@ def request_transcript(seed=13, per_instance=25):
         parts.append(f"$ {argv[0]} {shlex.join(argv[2:])}\n{code}\n{out.getvalue()}")
         return out.getvalue()
 
-    for name in SHIPPED:
-        path = str(INSTANCES / f"{name}.json")
+    for path in paths:
         instance = load_instance(path).instance
         n, q = instance.n, instance.field.q
         for i in range(per_instance):
@@ -718,7 +729,7 @@ def request_transcript(seed=13, per_instance=25):
                 known = sorted(rng.subset(range(1, n + 1), rng.below(n)))
                 argv = ["attack", path, "--known", ",".join(f"{a}={x[a - 1]}" for a in known),
                         "--broadcast", broadcast]
-                run(*argv, *(["--list"] if i % 3 == 2 else []))
+                run(*argv, *(["--list"] if listed and i % 3 == 2 else []))
     return "".join(parts)
 
 
@@ -726,18 +737,59 @@ def request_digest():
     return hashlib.sha256(request_transcript().encode("utf-8")).hexdigest()
 
 
+def write_random_instances(directory, seed=29):
+    """RANDOM_INSTANCES as files under `directory`: each receiver demands a
+    random message, holds each other one with probability 1/2, and has a
+    random choice vector confined to its side information."""
+    from icsisec.rng import Rng
+
+    rng = Rng(seed)
+    paths = []
+    for name, field_doc, n, m in RANDOM_INSTANCES:
+        q = field_doc["p"] ** field_doc.get("m", 1)
+        receivers, policy = [], []
+        for _ in range(m):
+            demand = 1 + rng.below(n)
+            side = [i for i in range(1, n + 1) if i != demand and rng.below(2)]
+            receivers.append({"side_info": side, "demand": demand})
+            policy.append([rng.below(q) if i + 1 in side else 0 for i in range(n)])
+        doc = {"field": field_doc, "n": n, "receivers": receivers, "choice_policy": policy}
+        path = Path(directory) / f"{name}.json"
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def packed_request_digest(directory):
+    transcript = request_transcript(write_random_instances(directory), listed=False)
+    return hashlib.sha256(transcript.encode("utf-8")).hexdigest()
+
+
+def digest_without_asserts(expression, *args):
+    """`expression` evaluated by a `python -O` child that has imported
+    test_cli, with `args` as sys.argv[1:]."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", f"import sys, test_cli; print({expression})", *args],
+        capture_output=True, text=True, cwd=str(ROOT), env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
 class TestRequestDigests:
     def test_request_replies_are_pinned(self):
         assert request_digest() == REQUEST_DIGEST
 
     def test_request_replies_are_pinned_without_asserts(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")) if p
-        )
-        result = subprocess.run(
-            [sys.executable, "-O", "-c", "import test_cli; print(test_cli.request_digest())"],
-            capture_output=True, text=True, cwd=str(ROOT), env=env,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == REQUEST_DIGEST
+        assert digest_without_asserts("test_cli.request_digest()") == REQUEST_DIGEST
+
+    def test_packed_field_replies_are_pinned(self, tmp_path):
+        assert packed_request_digest(tmp_path) == PACKED_DIGEST
+
+    def test_packed_field_replies_are_pinned_without_asserts(self, tmp_path):
+        digest = digest_without_asserts("test_cli.packed_request_digest(sys.argv[1])", str(tmp_path))
+        assert digest == PACKED_DIGEST

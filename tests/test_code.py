@@ -430,7 +430,40 @@ def mds_weight_distribution(n, k, q):
     return tuple(counts)
 
 
+def macwilliams_term_by_term(distribution, q, dimension):
+    """B_j = (1/q^k) sum_i A_i K_j(i) with every Krawtchouk value summed
+    term by term, K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s);
+    None where the transform is not a code's distribution."""
+    n = len(distribution) - 1
+    dual = []
+    for j in range(n + 1):
+        total = sum(
+            a * sum(
+                (-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s)
+                for s in range(min(i, j) + 1)
+            )
+            for i, a in enumerate(distribution)
+        )
+        count, remainder = divmod(total, q ** dimension)
+        if remainder or count < 0:
+            return None
+        dual.append(count)
+    return tuple(dual) if dual[0] == 1 else None
+
+
 class TestMacWilliams:
+    def test_matches_term_by_term_sum(self):
+        from icsisec.verify import builtin_corpus
+
+        spectra = [(e.code.weight_distribution, e.code.field.q, e.code.dimension) for e in builtin_corpus()]
+        for seed, n, k, zero_column in BINARY_CODES.values():
+            code = seeded_binary_code(seed, n, k, zero_column)
+            spectra.append((code.weight_distribution, 2, code.dimension))
+        for n, k, q in ((7, 3, 8), (10, 5, 16), (12, 4, 13), (9, 3, 11), (16, 8, 16)):
+            spectra.append((mds_weight_distribution(n, k, q), q, k))
+        for distribution, q, k in spectra:
+            assert _macwilliams(distribution, q, k) == macwilliams_term_by_term(distribution, q, k)
+
     def test_hamming_transforms_to_simplex(self):
         assert _macwilliams(hamming().weight_distribution, 2, 4) == (1, 0, 0, 0, 7, 0, 0, 0)
 
