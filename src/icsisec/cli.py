@@ -6,9 +6,10 @@ error, and the exit code tells the caller what happened:
     0  success
     1  I/O failure (unreadable or missing file)
     2  malformed instance, bad flag values, or arity mismatch
-    3  an enumeration guard fired; for analyze: n > 14 without --sample,
-       over 2^24 codewords in the code (q^k), or, with --sample on a
-       non-MDS code, over 2^24 in its dual (q^(n-k))
+    3  an enumeration guard fired; for analyze: n > 14 without --sample;
+       over 2^24 codewords in the code (q^k) with no MDS certificate
+       within the 2^24 budget; a first-of-weight search past 2^24 nodes;
+       or, with --sample on a non-MDS code, over 2^24 in its dual (q^(n-k))
     4  a receiver cannot decode its demand
     5  candidate list unavailable (too large, or known columns break rank)
     6  a verification suite found a property violation
@@ -169,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="recorded in the report; changes no verdict")
     p.add_argument(
         "--sample", action="store_true",
-        help="lift only the n > 14 guard; the report is marked sampled and its verdicts "
-        "and counterexamples are the exhaustive report's",
+        help="lift only the n > 14 guard, not the 2^24 budget of the code's spectrum; the "
+        "report is marked sampled and its verdicts and counterexamples are the exhaustive report's",
     )
     p.set_defaults(handler=cmd_analyze)
 

@@ -1,15 +1,26 @@
 """Linear [n, k] block codes over a finite field.
 
-The weight spectrum and the first codeword of each weight come from one
-explicit walk over the code, in q^(k-1) fibers of q codewords, behind a
-q^k <= 2^24 guard. Over F2 the walk packs each codeword into one int
-(_binary_span): a step is one XOR and a weight one bit count. The dual
-distance always comes from that same walk, through the MacWilliams
-identity in exact integer arithmetic; the dual code itself (a nullspace
-basis) is built only where a dual codeword is needed or where the
-transform is cross-checked. The orthogonal-array tuple count and the
-systematic Reed-Solomon construction support the security analysis
-layered on top.
+The weight spectrum, the first codeword of each weight, and the distances
+read from them come from the cheaper of two routes under a small cost
+model, each within a 2^24 budget:
+
+  code  one walk over the q^k codewords, in q^(k-1) fibers of q words;
+        over F2 each word packs into one int (_binary_span), so a step is
+        one XOR and a weight one bit count
+  mds   for q > 2, a certificate that every k columns are independent
+        (C(n, k) rank queries, after an O(nk) pre-filter), then the
+        closed-form MDS spectrum; a failed certificate falls through to
+        the walk
+
+After "mds", a pruned depth-first search in codeword order finds the
+first codeword of each weight. A code past the walk's q^k budget is
+analysed only when it is MDS, however small its dual is; otherwise it is
+refused. The dual distance always comes from the code's spectrum through
+the MacWilliams identity, in exact integer arithmetic; the dual code
+itself (a nullspace basis) is built only where a dual codeword is needed
+or where the transform is cross-checked. The orthogonal-array tuple count
+and the systematic Reed-Solomon construction support the security
+analysis layered on top.
 
 A LinearCode normalizes whatever spanning rows it is given to the reduced
 row echelon basis, so two equal row spaces always produce identical
@@ -38,6 +49,15 @@ from .algebra import (
 
 MAX_ENUMERATION = 1 << 24
 MAX_TUPLE_SPACE = 1 << 20
+
+# The spectrum's cost model for q > 2: estimated microseconds per unit of
+# work, fitted under CPython 3.11 on a 2-vCPU Xeon. Only the ratios pick a
+# route.
+_FIBER_COORD_US = 0.45  # one coordinate of a q-ary fiber step
+_FIBER_WORD_US = 0.1  # one word of a q-ary fiber
+_RANK_QUERY_US = 3.0  # one certificate rank query, plus per row:
+_RANK_ROW_US = 4.0
+_SEARCH_US = 1.0  # the first-of-weight search, per unit of n*k*q
 
 
 class CodeError(Exception):
@@ -145,6 +165,140 @@ def _fiber_roots(field: Field, r0: Sequence[int]) -> list[tuple[int, tuple[int, 
     return roots
 
 
+def _walk_spectrum(
+    field: Field, rows: Sequence[Sequence[int]], n: int
+) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """The weight distribution of the span of independent `rows`, and the
+    first word of each nonzero weight in iterate_span order, from one walk.
+
+    The walk runs over q^(k-1) fibers of q words: b + c*r0 for c = 0..q-1,
+    where r0 is rows[0] and b walks span(rows[1:]). Row 0 is the lowest
+    odometer digit of iterate_span, so each fiber is q consecutive words of
+    its order. A coordinate with r0[j] != 0 vanishes for exactly one c,
+    -b[j]/r0[j]; `zeros[c]` counts them, and wt(b + c*r0) = wt(b) +
+    zeros[0] - zeros[c]. A word is built only where its weight first
+    appears.
+    """
+    q = field.q
+    counts = [0] * (n + 1)
+    firsts: dict[int, tuple[int, ...]] = {}
+    if q == 2:
+        # Over F2 each fiber is {b, b ^ r0} as _pack_bits ints, and a
+        # weight is one bit count.
+        packed_r0 = _pack_bits(rows[0])
+        for b in _binary_span([_pack_bits(row) for row in rows[1:]]):
+            for word in (b, b ^ packed_r0):
+                w = word.bit_count()
+                if not counts[w] and w:
+                    firsts[w] = tuple(map(int, f"{word:0{n}b}"))
+                counts[w] += 1
+        return tuple(counts), firsts
+    r0 = rows[0]
+    add, mul = field.add, field.mul
+    roots = _fiber_roots(field, r0)
+    for b in iterate_span(field, rows[1:], n):
+        zeros = [0] * q
+        for j, root in roots:
+            zeros[root[b[j]]] += 1
+        base = n - b.count(0) + zeros[0]
+        for c in range(q):
+            w = base - zeros[c]
+            if not counts[w] and w:
+                firsts[w] = tuple(add(b[j], mul(c, r0[j])) for j in range(n))
+            counts[w] += 1
+    return tuple(counts), firsts
+
+
+def _first_of_each_weight(
+    field: Field, rows: Sequence[Sequence[int]], n: int, weights: Iterable[int]
+) -> dict[int, tuple[int, ...]]:
+    """The first word of each of the nonzero `weights` in the span of
+    independent `rows`, in iterate_span order, by a pruned depth-first
+    search (Knuth, TAOCP 7.2.2). A weight that occurs in no word is absent
+    from the result, after a search of every subtree that could hold it.
+
+    The search fixes coefficient digits from the most significant, row
+    k-1, down, so it meets words in iterate_span order. With digits
+    j..k-1 fixed, every word below the node agrees with the fixed part P
+    outside L_j, the union of the supports of rows 0..j-1, so its weight
+    lies in [f, f + |L_j|] for f = wt(P outside L_j). A subtree with no
+    missing weight in that range is skipped; it holds no first word, so
+    each first word found is the walk's. A child's f is the parent's plus
+    its weight on the positions row j-1 adds to L_(j-1), counted through
+    that row's root tables as in _walk_spectrum, and the last level is
+    one such fiber of row 0. Nodes count against MAX_ENUMERATION.
+    """
+    # missing holds a bit per weight still to find; spans[j] has the
+    # |L_j| + 1 low bits set, so missing >> f & spans[j] tests the range.
+    missing = 0
+    for w in weights:
+        missing |= 1 << w
+    missing &= ~1
+    firsts: dict[int, tuple[int, ...]] = {}
+    k, q = len(rows), field.q
+    add, mul = field.add, field.mul
+    # fresh[j] = (position, root table) for the positions row j-1 adds to
+    # L_(j-1); only those need a table.
+    fresh: list[list[tuple[int, tuple[int, ...]]]] = [[]]
+    spans = [1]
+    covered: set[int] = set()
+    for row in rows:
+        fresh.append(_fiber_roots(field, [0 if x in covered else v for x, v in enumerate(row)]))
+        covered.update(x for x, _ in fresh[-1])
+        spans.append((2 << len(covered)) - 1)
+    supports = [tuple(x for x in range(n) if row[x]) for row in rows]
+    nodes = 0
+    # A node at level j is its parent's word and the digit c of row j; the
+    # word, parent + c*row_j, is formed only once the node is visited.
+    stack: list[tuple[int, list[int], int, int]] = [(k, [0] * n, 0, 0)]
+    while stack and missing:
+        j, word, c, f = stack.pop()
+        # Tested again on visiting: missing may have shrunk since the push.
+        if not missing >> f & spans[j]:
+            continue
+        if c:
+            word = word[:]
+            row = rows[j]
+            for x in supports[j]:
+                word[x] = add(word[x], mul(c, row[x]))
+        nodes += q
+        if nodes > MAX_ENUMERATION:
+            raise TooLargeToEnumerateError(
+                f"first-of-weight search exceeds {MAX_ENUMERATION} nodes"
+            )
+        zeros = [0] * q
+        for x, root in fresh[j]:
+            zeros[root[word[x]]] += 1
+        base = f + len(fresh[j])
+        if j == 1:
+            row = rows[0]
+            for c in range(q):
+                w = base - zeros[c]
+                if missing >> w & 1:
+                    missing ^= 1 << w
+                    firsts[w] = tuple(add(word[x], mul(c, row[x])) for x in range(n))
+            continue
+        span = spans[j - 1]
+        for c in range(q - 1, -1, -1):
+            fc = base - zeros[c]
+            if missing >> fc & span:
+                stack.append((j - 1, word, c, fc))
+    return firsts
+
+
+def _mds_distribution(n: int, k: int, q: int) -> tuple[int, ...]:
+    """The weight distribution of any [n, k] MDS code over F_q, d = n - k + 1:
+    A_w = C(n, w) sum_{j=0}^{w-d} (-1)^j C(w, j) (q^(w-d+1-j) - 1) for
+    w >= d (MacWilliams & Sloane, ch. 11, Theorem 6)."""
+    d = n - k + 1
+    counts = [1] + [0] * n
+    for w in range(d, n + 1):
+        counts[w] = comb(n, w) * sum(
+            (-1) ** j * comb(w, j) * (q ** (w - d + 1 - j) - 1) for j in range(w - d + 1)
+        )
+    return tuple(counts)
+
+
 class LinearCode:
     """A linear code with a canonical (reduced row echelon) generator matrix."""
 
@@ -182,58 +336,77 @@ class LinearCode:
     def __repr__(self) -> str:
         return f"LinearCode(n={self.length}, k={self.dimension}, q={self.field.q})"
 
-    def _check_enumerable(self, dimension: int) -> None:
-        if self.field.q ** dimension > MAX_ENUMERATION:
-            raise TooLargeToEnumerateError(
-                f"q^k = {self.field.q}^{dimension} codewords exceed {MAX_ENUMERATION}"
-            )
-
     def codewords(self) -> Iterator[tuple[int, ...]]:
         """All q^k codewords as raw entry tuples, in deterministic order."""
-        self._check_enumerable(self.dimension)
+        q, k = self.field.q, self.dimension
+        if q ** k > MAX_ENUMERATION:
+            raise TooLargeToEnumerateError(f"q^k = {q}^{k} codewords exceed {MAX_ENUMERATION}")
         return iterate_span(self.field, self.generator.entries)
+
+    def _routes(self) -> list[str]:
+        """The spectrum routes that fit the budget, cheapest first.
+
+        "code" walks the q^k codewords. "mds" makes C(n, k) rank queries of
+        k x k entries, within the budget counted in entries, and is open
+        only for q > 2 and when the generator passes the pre-filter: over
+        F2 only the trivial [n, 1], [n, n-1] and [n, n] codes are MDS, and
+        the packed walk answers them. "mds" leaves the first codeword of
+        each weight to the search; its node count varies with the code,
+        and is of the order of n*k*q on the structured and random codes
+        measured.
+        """
+        n, k, q = self.length, self.dimension, self.field.q
+        routes = []
+        if q ** k <= MAX_ENUMERATION:
+            routes.append((q ** (k - 1) * (n * _FIBER_COORD_US + q * _FIBER_WORD_US), "code"))
+        queries = comb(n, k)
+        if q > 2 and queries * k * k <= MAX_ENUMERATION and self._mds_prefilter():
+            cost = queries * (_RANK_QUERY_US + k * _RANK_ROW_US) + n * k * q * _SEARCH_US
+            routes.append((cost, "mds"))
+        return [route for _, route in sorted(routes)]
+
+    def _mds_prefilter(self) -> bool:
+        """Whether the generator has no zero entry outside its pivot
+        columns, in O(nk). Every MDS code passes: a k-column set made of a
+        zero entry's column and the other k - 1 pivot columns has rank
+        k - 1."""
+        pivots = self.pivot_columns
+        return all(
+            row[j] for row in self.generator.entries for j in range(self.length) if j + 1 not in pivots
+        )
+
+    def _certified_mds(self) -> bool:
+        """Whether every k columns of the generator are independent, which
+        holds exactly for MDS codes (MacWilliams & Sloane, ch. 11): the
+        pre-filter, then one rank query per k-column set, stopping at the
+        first that fails."""
+        n, k = self.length, self.dimension
+        return self._mds_prefilter() and all(
+            self.rank_of_columns(cols) == k
+            for cols in itertools.combinations(range(1, n + 1), k)
+        )
 
     @cached_property
     def _spectrum(self) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
-        # One walk serves both weight_distribution and first_of_weight. It
-        # runs over q^(k-1) fibers of q codewords: b + c*r0 for c = 0..q-1,
-        # where r0 is generator row 0 and b walks span(rows[1:]). Row 0 is
-        # the lowest odometer digit of iterate_span, so each fiber is q
-        # consecutive codewords of codewords() order. A coordinate with
-        # r0[j] != 0 vanishes for exactly one c, -b[j]/r0[j]; `zeros[c]`
-        # counts them, and wt(b + c*r0) = wt(b) + zeros[0] - zeros[c].
-        # A codeword is built only where its weight first appears.
-        self._check_enumerable(self.dimension)
-        field = self.field
-        n, q = self.length, field.q
+        # The weight distribution and the first codeword of each weight,
+        # from the cheapest route _routes offers. Walking the code gives
+        # both. A certificate gives the MDS closed form, and the first
+        # codewords come from the pruned search over its weight set; a
+        # failed certificate falls through to the walk.
+        field, n, k = self.field, self.length, self.dimension
+        q = field.q
         rows = self.generator.entries
-        counts = [0] * (n + 1)
-        firsts: dict[int, tuple[int, ...]] = {}
-        if q == 2:
-            # Over F2 each fiber is {b, b ^ r0} as _pack_bits ints, and a
-            # weight is one bit count.
-            packed_r0 = _pack_bits(rows[0])
-            for b in _binary_span([_pack_bits(row) for row in rows[1:]]):
-                for word in (b, b ^ packed_r0):
-                    w = word.bit_count()
-                    if not counts[w] and w:
-                        firsts[w] = tuple(map(int, f"{word:0{n}b}"))
-                    counts[w] += 1
-            return tuple(counts), firsts
-        r0 = rows[0]
-        add, mul = field.add, field.mul
-        roots = _fiber_roots(field, r0)
-        for b in iterate_span(field, rows[1:], n):
-            zeros = [0] * q
-            for j, root in roots:
-                zeros[root[b[j]]] += 1
-            base = n - b.count(0) + zeros[0]
-            for c in range(q):
-                w = base - zeros[c]
-                if not counts[w] and w:
-                    firsts[w] = tuple(add(b[j], mul(c, r0[j])) for j in range(n))
-                counts[w] += 1
-        return tuple(counts), firsts
+        for route in self._routes():
+            if route == "code":
+                return _walk_spectrum(field, rows, n)
+            if self._certified_mds():
+                counts = _mds_distribution(n, k, q)
+                weights = [w for w in range(1, n + 1) if counts[w]]
+                return counts, _first_of_each_weight(field, rows, n, weights)
+        raise TooLargeToEnumerateError(
+            f"q^k = {q}^{k} codewords exceed {MAX_ENUMERATION}, "
+            "and no MDS certificate holds within that budget"
+        )
 
     @property
     def weight_distribution(self) -> tuple[int, ...]:
@@ -266,10 +439,10 @@ class LinearCode:
     def dual_distance(self) -> int:
         """Minimum distance of the dual; n + 1 by convention when k = n.
 
-        The dual's weight distribution comes from the code's own (cached)
-        walk through the MacWilliams identity, so the dual is never built
-        or walked here; the q^k guard therefore applies, however small the
-        dual is.
+        The dual's weight distribution is the MacWilliams transform of the
+        code's (cached) one, whichever route produced it; so this is
+        refused only where the spectrum is, however small the dual is: when
+        q^k exceeds the budget and no MDS certificate holds within it.
         """
         n, k = self.length, self.dimension
         if k == n:

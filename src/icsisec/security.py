@@ -565,7 +565,7 @@ def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
     bitmask with index 1 as the top bit, a larger zero set has an earlier
     (or equal) t-prefix, so the first hit at strength t is the top t bits
     of the largest mask with at least t zeros. The walk runs over fibers
-    b + c*h0 as LinearCode._spectrum does and keeps the largest mask per
+    b + c*h0 as code._walk_spectrum does and keeps the largest mask per
     zero count. Over F2 a dual word packs into the same layout, so its zero
     mask is the complement, and the fiber {b, b ^ h0} takes two XORs and
     two bit counts. The result does not depend on the order of the dual

@@ -4,10 +4,12 @@ Five suites, named after the facts they exercise (the CLI exposes the
 names thm1 .. thm4 and lemma3):
 
   thm1    singleton bound, MDS consistency, the MacWilliams dual spectrum
-          against a walk of the dual, the fiber-walked spectrum and first
-          codeword of each weight against a plain walk over every codeword,
-          the dual walk's counterexample known sets against the known-set
-          scan, and per-code distance claims
+          against a walk of the dual, the spectrum and first codeword of
+          each weight (whichever route produced them) against a plain walk
+          over every codeword, and on that walk's weights the pruned
+          first-of-weight search and the MDS certificate; the dual walk's
+          counterexample known sets against the known-set scan, and
+          per-code distance claims
   thm2    orthogonal-array counts in every <= d_dual - 1 column set
   lemma3  algebraic no-information test against brute force: every
           binary instance with n <= 4 and up to 3 receivers, each distinct
@@ -43,7 +45,9 @@ from .code import (
     MacWilliamsError,
     ZeroCodeError,
     _count_tuples,
+    _first_of_each_weight,
     _macwilliams,
+    _walk_spectrum,
     reed_solomon_code,
 )
 from .icsi import (
@@ -184,29 +188,37 @@ def _broadcast(code: LinearCode, x: tuple[int, ...]) -> Vector:
 def _macwilliams_mismatch(code: LinearCode) -> Optional[dict]:
     """Where the dual fits the enumeration guard, check the MacWilliams
     transform of the code's weight distribution, and the dual distance read
-    from it, against the dual's own walked spectrum. Returns the
-    disagreement, or None when they agree or the dual is too big to walk."""
+    from it, against the spectrum of one walk over the dual's own words.
+    Returns the disagreement, or None when they agree or the dual is too
+    big to walk."""
     n, k, q = code.length, code.dimension, code.field.q
     if k == n or q ** (n - k) > MAX_ENUMERATION:
         return None
-    walked = code.dual.weight_distribution
+    walked = _walk_spectrum(code.field, code.dual.generator.entries, n)[0]
+    walked_d_dual = next(w for w in range(1, n + 1) if walked[w])
     try:
         transformed = _macwilliams(code.weight_distribution, q, k)
     except MacWilliamsError as exc:
         return {"error": str(exc), "walked": list(walked)}
-    if transformed != walked or code.dual_distance != code.dual.min_distance:
+    if transformed != walked or code.dual_distance != walked_d_dual:
         return {
             "transformed": list(transformed), "walked": list(walked),
-            "d_dual": code.dual_distance, "walked_d_dual": code.dual.min_distance,
+            "d_dual": code.dual_distance, "walked_d_dual": walked_d_dual,
         }
     return None
 
 
 def _spectrum_mismatch(code: LinearCode) -> Optional[dict]:
-    """Check the code's weight distribution and first codeword of each
-    weight, entries and order, against a plain walk over codewords() that
-    looks at every codeword. Returns the first disagreement, or None."""
-    n = code.length
+    """Where the code fits the enumeration guard, check its weight
+    distribution and first codeword of each weight, entries and order,
+    against a plain walk over codewords() that looks at every codeword.
+    The same walk then checks the two parts of the other routes, whichever
+    route the code took: the pruned search over the walked weights, and
+    the MDS certificate against d = n - k + 1. Returns the first
+    disagreement, with its check name, or None."""
+    n, k = code.length, code.dimension
+    if code.field.q ** k > MAX_ENUMERATION:
+        return None
     counts = [0] * (n + 1)
     firsts: dict[int, tuple[int, ...]] = {}
     for word in code.codewords():
@@ -215,13 +227,19 @@ def _spectrum_mismatch(code: LinearCode) -> Optional[dict]:
             firsts[w] = word
         counts[w] += 1
     if tuple(counts) != code.weight_distribution:
-        return {"distribution": list(code.weight_distribution), "walked": counts}
-    for got, walked in itertools.zip_longest(code.first_of_weight.items(), firsts.items()):
-        if got != walked:
-            return {
-                "first": None if got is None else [got[0], list(got[1])],
-                "walked_first": None if walked is None else [walked[0], list(walked[1])],
-            }
+        return {"check": "spectrum", "distribution": list(code.weight_distribution), "walked": counts}
+    searched = _first_of_each_weight(code.field, code.generator.entries, n, firsts)
+    for check, got_firsts in (("spectrum", code.first_of_weight), ("search", searched)):
+        for got, walked in itertools.zip_longest(got_firsts.items(), firsts.items()):
+            if got != walked:
+                return {
+                    "check": check,
+                    "first": None if got is None else [got[0], list(got[1])],
+                    "walked_first": None if walked is None else [walked[0], list(walked[1])],
+                }
+    walked_mds = next(w for w in range(1, n + 1) if counts[w]) == n - k + 1
+    if code._certified_mds() != walked_mds:
+        return {"check": "mds_certificate", "certified": not walked_mds, "walked_mds": walked_mds}
     return None
 
 
@@ -264,7 +282,7 @@ def _suite_singleton(seed: int, corpus: tuple[CorpusEntry, ...]) -> SuiteResult:
             return _done("thm1", cases, {"code": entry.name, "check": "macwilliams", **mismatch})
         mismatch = _spectrum_mismatch(code)
         if mismatch is not None:
-            return _done("thm1", cases, {"code": entry.name, "check": "spectrum", **mismatch})
+            return _done("thm1", cases, {"code": entry.name, **mismatch})
         mismatch = _first_hit_mismatch(code)
         if mismatch is not None:
             return _done("thm1", cases, {"code": entry.name, "check": "first_hit", **mismatch})

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -132,8 +133,30 @@ class TestAnalyze:
         assert report["seed"] == 7
 
     def test_sample_does_not_lift_codeword_guard(self, tmp_path):
-        # [16, 10] over F7: q^k = 7^10 codewords exceed the 2^24 guard, which
-        # --sample does not lift because d and d_dual still need them.
+        # A seeded [20, 10] code over F7: q^k = q^(n-k) = 7^10 words on both
+        # sides exceed the 2^24 budget, and no [20, 10] code over F7 is MDS,
+        # so no route finds d and d_dual, and --sample does not lift that.
+        rng = random.Random(20)
+        tail = [[rng.randrange(7) for _ in range(10)] for _ in range(10)]
+        path = write_doc(
+            tmp_path,
+            "f7.json",
+            {
+                "field": {"p": 7},
+                "n": 20,
+                "receivers": [{"side_info": list(range(11, 21)), "demand": i} for i in range(1, 11)],
+                "choice_policy": [[0] * 10 + row for row in tail],
+            },
+        )
+        result = run_cli("analyze", path, "--sample")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "q^k = 7^10 codewords exceed 16777216" in result.stderr
+
+    def test_small_dual_does_not_lift_codeword_guard(self, tmp_path):
+        # [16, 10] over F7: q^k = 7^10 codewords exceed the 2^24 budget and
+        # the code is not MDS, so it is refused however small its 7^6-word
+        # dual is; --sample does not lift that.
         path = write_doc(
             tmp_path,
             "f7.json",
@@ -148,7 +171,7 @@ class TestAnalyze:
         result = run_cli("analyze", path, "--sample")
         assert result.returncode == 3
         assert result.stdout == ""
-        assert "7^10" in result.stderr
+        assert "q^k = 7^10 codewords exceed 16777216" in result.stderr
 
     def test_dual_past_the_guard_is_analysed(self, tmp_path):
         # RS [12, 4] over F13: the code has 13^4 codewords and its dual 13^8,

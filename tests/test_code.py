@@ -47,6 +47,15 @@ def hamming():
     return LinearCode(Matrix(F2, HAMMING_ROWS))
 
 
+def random_f7_20_10():
+    """A seeded [20, 10] code over F7 in systematic form."""
+    rng = random.Random(20)
+    return LinearCode(Matrix(Field(7), tuple(
+        tuple(int(i == j) for j in range(10)) + tuple(rng.randrange(7) for _ in range(10))
+        for i in range(10)
+    )))
+
+
 def brute_span(field, rows):
     """All row combinations, computed directly from coefficient tuples."""
     n = len(rows[0]) if rows else 0
@@ -133,13 +142,25 @@ class TestLinearCode:
         assert set(code.codewords()) == brute_span(F3, rows)
 
     def test_enumeration_guard(self):
-        big = Field(8191)
-        rows = tuple(
-            tuple(1 if i == j else 0 for j in range(3)) for i in range(2)
-        )
-        code = LinearCode(Matrix(big, rows))
-        with pytest.raises(TooLargeToEnumerateError):
+        # A [20, 10] code over F7 is not MDS (k >= q forces n <= k + 1 for
+        # an MDS code), and its code and dual both hold 7^10 > 2^24 words,
+        # so every route to the spectrum is refused.
+        code = random_f7_20_10()
+        with pytest.raises(TooLargeToEnumerateError, match=r"q\^k = 7\^10 codewords"):
             code.min_distance
+
+    def test_small_dual_does_not_lift_the_guard(self):
+        # A seeded [16, 10] code over F7: its dual has only 7^6 words, but
+        # the code's 7^10 exceed the budget and it is not MDS, so the
+        # spectrum, and both distances read from it, are refused.
+        rng = random.Random(16)
+        code = LinearCode(Matrix(Field(7), tuple(
+            tuple(int(i == j) for j in range(10)) + tuple(rng.randrange(7) for _ in range(6))
+            for i in range(10)
+        )))
+        assert code._routes() in ([], ["mds"])
+        with pytest.raises(TooLargeToEnumerateError, match=r"q\^k = 7\^10 codewords"):
+            code.dual_distance
 
 
 def _rank_oracle(gen, cols):
@@ -233,8 +254,8 @@ SPECTRUM_WORDS = 2048
 
 
 @st.composite
-def small_codes(draw):
-    field = draw(st.sampled_from(SPECTRUM_FIELDS))
+def small_codes(draw, fields=SPECTRUM_FIELDS):
+    field = draw(st.sampled_from(fields))
     n = draw(st.integers(1, 7))
     k_max = max(k for k in range(1, n + 1) if field.q ** k <= SPECTRUM_WORDS)
     k = draw(st.integers(1, k_max))
@@ -275,6 +296,127 @@ class TestFiberSpectrum:
         code = LinearCode(Matrix(field, rows))
         assert code.dimension == len(rows)
         self.check(code)
+
+
+def walked_firsts(code):
+    """The first codeword of each nonzero weight, from a plain walk over
+    codewords()."""
+    n = code.length
+    firsts = {}
+    for word in code.codewords():
+        w = n - word.count(0)
+        if w and w not in firsts:
+            firsts[w] = word
+    return firsts
+
+
+class TestFirstOfWeightSearch:
+    """The pruned search behind first_of_weight on the certificate route,
+    against a plain walk over codewords()."""
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(small_codes((F2, F3, Field(2, 2), Field(7), F8)))
+    def test_random_codes(self, code):
+        n = code.length
+        firsts = walked_firsts(code)
+        rows = code.generator.entries
+        searched = code_module._first_of_each_weight(code.field, rows, n, firsts)
+        assert list(searched.items()) == list(firsts.items())
+        # Weights that occur in no codeword are searched for and left out.
+        everything = code_module._first_of_each_weight(code.field, rows, n, range(1, n + 1))
+        assert list(everything.items()) == list(firsts.items())
+
+    @pytest.mark.parametrize("n,k,field", [
+        (8, 4, Field(2, 4)), (10, 5, Field(2, 4)), (13, 7, Field(13)),
+    ], ids=["rs8_4_gf16", "rs10_5_gf16", "rs13_7_f13"])
+    def test_reed_solomon_codes_need_no_walk(self, n, k, field):
+        code = reed_solomon_code(n, k, field)
+        assert code._routes()[0] == "mds"
+        assert list(code.first_of_weight) == list(range(n - k + 1, n + 1))
+        for w, word in code.first_of_weight.items():
+            assert n - word.count(0) == w
+            # The word is the combination its pivot values give.
+            coefficients = Vector(field, tuple(word[p - 1] for p in code.pivot_columns))
+            assert code.generator.left_times(coefficients).entries == word
+        if field.q ** k <= 16 ** 4:
+            assert list(code.first_of_weight.items()) == list(walked_firsts(code).items())
+
+
+class TestSpectrumRoutes:
+    """The MDS certificate and its closed-form spectrum against the walk of
+    the code."""
+
+    @pytest.mark.parametrize("n,k,field", [
+        (7, 3, F8), (8, 4, Field(3, 2)), (9, 3, Field(11)), (8, 4, Field(2, 4)),
+    ], ids=["rs7_3_gf8", "rs8_4_gf9", "rs9_3_f11", "rs8_4_gf16"])
+    def test_closed_form_matches_the_walk(self, n, k, field):
+        code = reed_solomon_code(n, k, field)
+        walked = code_module._walk_spectrum(field, code.generator.entries, n)[0]
+        assert code_module._mds_distribution(n, k, field.q) == walked
+        assert mds_weight_distribution(n, k, field.q) == walked
+        assert code._certified_mds()
+
+    def test_failed_certificate_falls_back(self, monkeypatch):
+        # Every entry outside the pivot columns is nonzero, so the
+        # pre-filter passes, but columns 3 and 4 are equal: the last of the
+        # six 2-column sets has rank 1, the code is not MDS, and d = 2.
+        code = LinearCode(Matrix(F3, ((1, 0, 1, 1), (0, 1, 1, 1))))
+        assert code._mds_prefilter()
+        queries = []
+        original = LinearCode.rank_of_columns
+
+        def counted(self, positions):
+            queries.append(tuple(sorted(positions)))
+            return original(self, positions)
+
+        monkeypatch.setattr(LinearCode, "rank_of_columns", counted)
+        monkeypatch.setattr(LinearCode, "_routes", lambda self: ["mds", "code"])
+        assert code.min_distance == 2
+        assert queries == list(itertools.combinations(range(1, 5), 2))
+        counts, firsts = plain_spectrum(code)
+        assert code.weight_distribution == counts
+        assert list(code.first_of_weight.items()) == list(firsts.items())
+
+    def test_cost_model_falls_back_by_itself(self):
+        # [8, 4] over GF(16) with no zero entry outside the pivots, but a
+        # singular 2 x 2 block: the certificate is the cheapest route and
+        # fails, and the code walk answers instead.
+        gf16 = Field(2, 4)
+        block = ((1, 1, 2, 3), (1, 1, 4, 5), (2, 6, 7, 8), (3, 9, 10, 11))
+        code = LinearCode(Matrix(gf16, tuple(
+            tuple(int(i == j) for j in range(4)) + block[i] for i in range(4)
+        )))
+        assert code._routes()[0] == "mds"
+        assert not code._certified_mds()
+        assert code.weight_distribution == code_module._walk_spectrum(
+            gf16, code.generator.entries, 8
+        )[0]
+        assert code.min_distance < 5 and not code.is_mds
+
+    def test_binary_codes_walk(self):
+        # even-weight [14, 13] is MDS and passes the pre-filter, but over F2
+        # only the trivial codes are MDS and the packed walk answers them.
+        code = LinearCode(Matrix(F2, tuple(
+            tuple(1 if j in (i, 13) else 0 for j in range(14)) for i in range(13)
+        )))
+        assert code._mds_prefilter()
+        assert code._routes() == ["code"]
+
+    @pytest.mark.parametrize("n,k,field", [
+        (12, 8, Field(2, 4)), (13, 7, Field(13)),
+    ], ids=["rs12_8_gf16", "rs13_7_f13"])
+    def test_codes_past_the_walk_are_analysed(self, n, k, field):
+        # Both have over 2^24 codewords; the MDS certificate answers.
+        code = reed_solomon_code(n, k, field)
+        assert field.q ** k > code_module.MAX_ENUMERATION
+        assert (code.min_distance, code.dual_distance) == (n - k + 1, k + 1)
+        assert code.weight_distribution == code_module._mds_distribution(n, k, field.q)
+
+    def test_search_budget(self, monkeypatch):
+        monkeypatch.setattr(code_module, "MAX_ENUMERATION", 64)
+        code = reed_solomon_code(10, 5, Field(2, 4))
+        with pytest.raises(TooLargeToEnumerateError, match="first-of-weight search"):
+            code_module._first_of_each_weight(code.field, code.generator.entries, 10, range(6, 11))
 
 
 def seeded_binary_code(seed, n, k, zero_column=None):

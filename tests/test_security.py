@@ -500,24 +500,31 @@ class TestSecurityReport:
         # the repetition structure is still visible to sampling
         assert report.strengths[0].measured_block_level == 14
 
-    def test_report_walks_one_fiber_per_base_word(self, monkeypatch):
-        # The spectrum walks span(rows[1:]) once, q codewords per step:
-        # RS [8, 4] over GF(16) takes 16^3 steps, not 16^4.
-        walks = Counter()
-        original = code_module.iterate_span
+    def test_mds_report_certifies_without_a_walk(self, monkeypatch):
+        # RS [8, 4] over GF(16): at most C(8, 4) = 70 rank queries certify
+        # that every 4 columns are independent, the spectrum is closed form,
+        # and no codeword is walked, where the walk would cover 16^4.
+        calls = Counter()
+        original_span = code_module.iterate_span
+        original_rank = LinearCode.rank_of_columns
 
-        def counted(*args, **kwargs):
-            walks["calls"] += 1
-            for vector in original(*args, **kwargs):
-                walks["yields"] += 1
+        def counted_span(*args, **kwargs):
+            for vector in original_span(*args, **kwargs):
+                calls["yields"] += 1
                 yield vector
 
-        monkeypatch.setattr(code_module, "iterate_span", counted)
-        monkeypatch.setattr(security_module, "iterate_span", counted)
+        def counted_rank(self, positions):
+            calls["queries"] += 1
+            return original_rank(self, positions)
+
+        monkeypatch.setattr(code_module, "iterate_span", counted_span)
+        monkeypatch.setattr(security_module, "iterate_span", counted_span)
+        monkeypatch.setattr(LinearCode, "rank_of_columns", counted_rank)
         code = reed_solomon_code(8, 4, Field(2, 4, (1, 1, 0, 0, 1)))
         report = security_report(code)
         assert (report.min_distance, report.dual_distance) == (5, 5)
-        assert walks == {"calls": 1, "yields": 16 ** 3}
+        assert 0 < calls["queries"] <= 70
+        assert calls["yields"] == 0
 
     def test_levels_nonincreasing_in_strength(self):
         for code in (hamming(), reed_solomon_code(7, 3, Field(2, 3))):

@@ -14,7 +14,7 @@ import icsisec.code as code_module
 import icsisec.security as security_module
 import icsisec.verify as verify_module
 from icsisec.algebra import Field, Vector
-from icsisec.code import LinearCode
+from icsisec.code import LinearCode, iterate_span
 from icsisec.icsi import MalformedInstanceError
 from icsisec.security import SecurityQuery, conditional_block_entropy
 from icsisec.verify import (
@@ -273,6 +273,36 @@ class TestFailureReporting:
         assert (failure["code"], failure["check"]) == ("swapped", "spectrum")
         assert failure["first"] == [3, list(later)]
         assert failure["walked_first"] == [3, list(firsts[3])]
+
+    def test_search_skipping_a_subtree_fails_search(self, monkeypatch):
+        # A search that reports each weight's second word instead of its
+        # first: hamming7 has seven weight-3 codewords.
+        original = verify_module._first_of_each_weight
+
+        def second(field, rows, n, weights):
+            firsts = original(field, rows, n, weights)
+            for word in iterate_span(field, rows, n):
+                w = n - word.count(0)
+                if w in firsts and word != firsts[w] and w == 3:
+                    return {**firsts, 3: word}
+            return firsts
+
+        monkeypatch.setattr(verify_module, "_first_of_each_weight", second)
+        result = run_suite("thm1")
+        assert not result.ok
+        failure = result.failures[0]
+        assert (failure["code"], failure["check"]) == ("hamming7", "search")
+        assert failure["walked_first"][0] == 3
+
+    def test_certificate_passing_everything_fails(self, monkeypatch):
+        # A certificate that accepts every code: repetition3 is MDS, so the
+        # first failure is the first corpus code that is not.
+        monkeypatch.setattr(LinearCode, "_certified_mds", lambda self: True)
+        result = run_suite("thm1")
+        assert not result.ok
+        failure = result.failures[0]
+        assert (failure["code"], failure["check"]) == ("hamming7", "mds_certificate")
+        assert (failure["certified"], failure["walked_mds"]) == (True, False)
 
     def test_wrong_dual_walk_fails_first_hit(self, monkeypatch):
         # A walk that answers with the last t indices instead of the first:
