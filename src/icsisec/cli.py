@@ -38,8 +38,8 @@ from .security import (
     ListTooLargeError,
     RankDeficientError,
     SecurityError,
+    _candidate_columns,
     complete_insecurity_attack,
-    list_attack,
     security_report,
 )
 from .verify import SUITE_NAMES, load_corpus, run_suite
@@ -114,13 +114,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
     broadcast = _parse_vector(args.broadcast, field, code.dimension, "--broadcast")
     view = AdversaryView.of(known, broadcast)
     # Every answer is computed before anything is printed, so a refused
-    # list (exit 2 or 5) leaves stdout empty. The list carries the outcome
-    # of its own reduction, so --list reduces once.
+    # list (exit 2 or 5) leaves stdout empty. The list's columns come with
+    # the outcome of their own reduction, so --list reduces once.
     if args.list:
-        candidates = list_attack(code, view)
-        outcome = candidates.outcome
+        columns, outcome = _candidate_columns(code, view)
     else:
-        candidates = None
+        columns = None
         outcome = complete_insecurity_attack(code, view)
     values = outcome.mapping
     lines = [
@@ -128,16 +127,18 @@ def cmd_attack(args: argparse.Namespace) -> int:
         for i in range(1, code.length + 1)
         if i not in known
     ]
-    if candidates is not None:
-        lines.append(f"count={len(candidates)}")
-        # One format string per list: a table of the q value strings would
-        # cost as much, and q conversions even for a single candidate.
-        row_format = ",".join(["%d"] * code.length)
-        lines.extend([row_format % c.entries for c in candidates])
+    rows = ""
+    if columns is not None:
+        lines.append(f"count={len(columns[0])}")
+        # One format string per list, applied to the rows of the columns:
+        # no Vector per candidate, and no table of the q value strings,
+        # which would cost q conversions even for a single candidate.
+        row_format = ",".join(["%d"] * code.length) + "\n"
+        rows = "".join([row_format % row for row in zip(*columns)])
     if not outcome.consistent:
         print("note: the observation matches no message vector; "
               "recovered values are not meaningful", file=sys.stderr)
-    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    sys.stdout.write("".join(f"{line}\n" for line in lines) + rows)
     return 0
 
 

@@ -25,12 +25,16 @@ with its exact q^(n-t-k) size, and the full-recovery attack that sets in at
 strength n - d_dual + 1. Both attacks read everything from one row
 reduction of [G_U | s'], where U is the unknown columns in descending order
 and s' = s - G_K x_K is the broadcast with the known messages removed; the
-list carries the per-index outcome of its own reduction. With U descending
-each pivot depends only on free values at smaller indices, so the list
-comes out of an odometer over the free values in lexicographic order,
-without a sort; thm3 checks that order and a brute-force filter in the
-tests checks the list. The same reduction on a zero observation finds the
-hidden index of every report counterexample; the per-index solves of
+list's columns come with the per-index outcome of their own reduction.
+With U descending each pivot depends only on free values at smaller
+indices, so numbering the candidates in base q, smallest free index most
+significant, puts them in lexicographic order without a sort. The list is
+built one coordinate column at a time, each kernel vector turning every
+column into q shifted copies of itself, so the Python-level loop runs over
+column blocks rather than candidates; thm3 checks the order and the two
+ends of each list, and a brute-force filter in the tests checks the whole
+list. The same reduction on a zero observation finds the hidden index of
+every report counterexample; the per-index solves of
 LinearCode.confined_combination stay as the attack's slow route in the
 thm4 suite.
 
@@ -358,31 +362,43 @@ def _reduce_unknowns(
     return unknown, reduced, pivots
 
 
-class CandidateList(tuple):
-    """list_attack's candidates, a tuple of message vectors in
-    lexicographic order. `outcome` is the per-index attack, read off the
-    same reduction."""
-
-    outcome: "AttackOutcome"
-
-
-def list_attack(code: LinearCode, view: AdversaryView) -> CandidateList:
+def list_attack(code: LinearCode, view: AdversaryView) -> tuple[Vector, ...]:
     """Every message vector consistent with the adversary's observation.
 
     When the columns outside the known set have full rank k (guaranteed
     whenever the strength is at most d - 1) the list has exactly
     q^(n - t - k) entries and provably contains the real message vector.
-    The particular solution, the kernel, the rank, the consistency check
-    and the per-index outcome all come from one reduction of [G_U | s']:
-    the observation is consistent exactly when the reduced rows past the
-    rank have a zero right-hand side.
+    The particular solution, the kernel, the rank and the consistency check
+    all come from one reduction of [G_U | s']: the observation is
+    consistent exactly when the reduced rows past the rank have a zero
+    right-hand side.
 
     Entries come out in lexicographic order without a sort. U runs in
     descending order, so each pivot value depends only on free values at
-    smaller indices; an odometer over the free values, the smallest free
-    index as its most significant digit, therefore visits the candidates
-    in order. Each kernel vector moves its own free value and the pivots
-    that depend on it, so a step adds one precomputed multiple of it.
+    smaller indices; numbering the candidates in base q with the smallest
+    free index as the most significant digit therefore numbers them in
+    order. The list is built a coordinate column at a time: each kernel
+    vector, from the largest free index up, turns every column into q
+    shifted copies of itself (_candidate_columns).
+    """
+    columns, _ = _candidate_columns(code, view)
+    field = code.field
+    return tuple(Vector._raw(field, w) for w in zip(*columns))
+
+
+def _candidate_columns(code: LinearCode, view: AdversaryView) -> tuple[list, "AttackOutcome"]:
+    """The candidate list as n columns, column j holding coordinate j + 1
+    of every candidate in lexicographic order, and the per-index outcome
+    read off the same reduction. Columns are bytes for q <= 16, lists
+    otherwise.
+
+    Column j starts as the particular solution's value z_j. A kernel vector
+    v, taken from the largest free index up so that each becomes the next
+    more significant digit, replaces the column col by the q blocks
+    col + a*v_j for a = 0..q-1 in turn, or by q copies of col where v_j is
+    0. For q <= 16 adding a constant c to a packed column is one translate
+    through the pair-sum table's entries c, c + 16, ...; larger fields add
+    with one comprehension per block.
     """
     known = _checked_view(code, view)
     n, k = code.length, code.dimension
@@ -404,37 +420,37 @@ def list_attack(code: LinearCode, view: AdversaryView) -> CandidateList:
             f"candidate list of q^{width - rank} entries exceeds {LIST_LIMIT}"
         )
     particular, kernel = _read_solution(field, reduced, pivots, width)
-    add, sub, mul = field.add, field.sub, field.mul
     z = [0] * n
     for i, v in known.items():
         z[i - 1] = v
     for j, v in zip(unknown, particular):
         z[j - 1] = v
-    # The kernel comes one vector per free column of U, so digit 0 is the
-    # largest free index. steps[d][a] takes digit d from a to a + 1 mod q:
-    # (position, value) pairs to add, the change times the kernel vector.
-    steps = []
+    mul = field.mul
+    pair_sums = field._pair_sums
+    if pair_sums is None:
+        add = field.add
+        columns: list = [[v] for v in z]
+    else:
+        shifts = [pair_sums[c::16].ljust(256, b"\0") for c in range(q)]
+        columns = [bytes((v,)) for v in z]
+    # The kernel comes one vector per free column of U, largest free index first.
     for vec in kernel:
-        support = [(j - 1, v) for j, v in zip(unknown, vec) if v]
-        steps.append([
-            [(j, mul(sub((a + 1) % q, a), v)) for j, v in support] for a in range(q)
-        ])
-    digits = [0] * len(kernel)
-    words = []
-    while True:
-        words.append(Vector._raw(field, tuple(z)))
-        for d, a in enumerate(digits):
-            for j, v in steps[d][a]:
-                z[j] = add(z[j], v)
-            if a < q - 1:
-                digits[d] = a + 1
-                break
-            digits[d] = 0
-        else:
-            break
-    candidates = CandidateList(words)
-    candidates.outcome = _outcome(unknown, reduced, pivots)
-    return candidates
+        step = [0] * n
+        for j, v in zip(unknown, vec):
+            step[j - 1] = v
+        for j, v in enumerate(step):
+            col = columns[j]
+            if not v:
+                columns[j] = col * q
+            elif pair_sums is None:
+                grown = []
+                for a in range(q):
+                    c = mul(a, v)
+                    grown += [add(y, c) for y in col]
+                columns[j] = grown
+            else:
+                columns[j] = b"".join([col.translate(shifts[mul(a, v)]) for a in range(q)])
+    return columns, _outcome(unknown, reduced, pivots)
 
 
 @dataclass(frozen=True)

@@ -760,15 +760,15 @@ def request_digest():
     return hashlib.sha256(request_transcript().encode("utf-8")).hexdigest()
 
 
-def write_random_instances(directory, seed=29):
-    """RANDOM_INSTANCES as files under `directory`: each receiver demands a
+def write_random_instances(directory, seed=29, instances=RANDOM_INSTANCES):
+    """`instances` as files under `directory`: each receiver demands a
     random message, holds each other one with probability 1/2, and has a
     random choice vector confined to its side information."""
     from icsisec.rng import Rng
 
     rng = Rng(seed)
     paths = []
-    for name, field_doc, n, m in RANDOM_INSTANCES:
+    for name, field_doc, n, m in instances:
         q = field_doc["p"] ** field_doc.get("m", 1)
         receivers, policy = [], []
         for _ in range(m):
@@ -816,3 +816,56 @@ class TestRequestDigests:
     def test_packed_field_replies_are_pinned_without_asserts(self, tmp_path):
         digest = digest_without_asserts("test_cli.packed_request_digest(sys.argv[1])", str(tmp_path))
         assert digest == PACKED_DIGEST
+
+
+# One generated instance per field: F2, GF(8), F13 and GF(16) take the
+# packed byte columns (two-digit entries from F13 on), F17 the list columns.
+LIST_PARITY_INSTANCES = (
+    ("parity_f2", {"p": 2}, 10, 4),
+    ("parity_gf8", {"p": 2, "m": 3}, 6, 3),
+    ("parity_f13", {"p": 13}, 5, 2),
+    ("parity_gf16", {"p": 2, "m": 4}, 5, 2),
+    ("parity_f17", {"p": 17}, 5, 2),
+)
+
+
+class TestListParity:
+    @pytest.mark.parametrize("instance", LIST_PARITY_INSTANCES, ids=lambda row: row[0])
+    def test_list_text_equals_formatted_vectors(self, tmp_path, capsys, instance):
+        # attack --list prints from the candidate columns; its text must be
+        # the %d formatting of list_attack's Vectors, at every strength the
+        # list is guaranteed for (t <= d - 1).
+        from icsisec.algebra import Vector
+        from icsisec.fileio import load_instance
+        from icsisec.icsi import build_scheme, encode
+        from icsisec.rng import Rng
+        from icsisec.security import AdversaryView, complete_insecurity_attack, list_attack
+
+        (path,) = write_random_instances(tmp_path, seed=31, instances=(instance,))
+        loaded = load_instance(path)
+        scheme = build_scheme(loaded.instance, loaded.choice_vectors)
+        code, field = scheme.code, scheme.field
+        n, q = code.length, field.q
+        row_format = ",".join(["%d"] * n)
+        rng = Rng(37)
+        lengths = set()
+        for t in range(code.min_distance):
+            known = sorted(rng.subset(range(1, n + 1), t))
+            x = tuple(rng.below(q) for _ in range(n))
+            broadcast = encode(scheme, Vector(field, x))
+            view = AdversaryView.of({i: x[i - 1] for i in known}, broadcast)
+            values = complete_insecurity_attack(code, view).mapping
+            expected = [f"{i}={values.get(i, '?')}" for i in range(1, n + 1) if i not in known]
+            candidates = list_attack(code, view)
+            expected.append(f"count={len(candidates)}")
+            expected += [row_format % c.entries for c in candidates]
+            exit_code, out, err = call_main(
+                capsys, "attack", path, "--known", ",".join(f"{i}={x[i - 1]}" for i in known),
+                "--broadcast", ",".join(map(str, broadcast.entries)), "--list",
+            )
+            assert (exit_code, err) == (0, "")
+            assert out == "".join(f"{line}\n" for line in expected)
+            lengths.add(len(candidates))
+        # Every instance lists more candidates than q at strength 0, so at
+        # least two kernel vectors stack their column blocks.
+        assert max(lengths) > q

@@ -350,6 +350,22 @@ class TestFailureReporting:
         assert failure["check"] == "list_order"
         assert result.cases <= 447
 
+    def test_dropped_particular_solution_fails_list_end(self, monkeypatch):
+        # Without the particular solution the columns span the kernel: the
+        # list keeps its size and order but misses the broadcast.
+        original = security_module._read_solution
+
+        def dropped(field, reduced, pivots, width):
+            return (0,) * width, original(field, reduced, pivots, width)[1]
+
+        monkeypatch.setattr(security_module, "_read_solution", dropped)
+        result = run_suite("thm3")
+        assert not result.ok
+        failure = result.failures[0]
+        assert failure["check"] == "list_end"
+        assert failure["candidate"] != failure["x"]
+        assert result.cases <= 447
+
     def test_flipped_attack_value_fails_attack_route(self, monkeypatch):
         # At the thm4 threshold every reduced row recovers an index, so
         # shifting the first row's right-hand side corrupts one value.
