@@ -6,16 +6,17 @@ error, and the exit code tells the caller what happened:
     0  success
     1  I/O failure (unreadable or missing file)
     2  malformed instance, bad flag values, or arity mismatch
-    3  an enumeration guard fired; for analyze: n > 14 without --sample;
-       over 2^24 codewords in the code (q^k) with no MDS certificate
-       within the 2^24 budget; a first-of-weight search past 2^24 nodes;
-       or, with --sample on a non-MDS code, over 2^24 in its dual (q^(n-k))
+    3  an enumeration guard fired; for analyze: over 2^24 codewords in
+       the code (q^k) with no MDS certificate within the 2^24 budget; a
+       first-of-weight search past 2^24 nodes; or a known-set scan past
+       2^14 reductions with over 2^24 words in the dual (q^(n-k))
     4  a receiver cannot decode its demand
     5  candidate list unavailable (too large, or known columns break rank)
     6  a verification suite found a property violation
 
-The environment variable ICSI_SEC_THREADS is accepted as a worker-count
-hint; the program is single-threaded, so it never changes output.
+The environment variable ICSI_SEC_THREADS (a worker-count hint; the
+program is single-threaded) and analyze's --sample flag (reports are exact
+at every length) are accepted and never change output.
 
 The argument parser is built once per process, on the first main() call,
 so repeated in-process calls pay only for parsing.
@@ -82,7 +83,7 @@ def _parse_assignments(text: str, field) -> dict[int, int]:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     _, scheme = _load(args)
-    report = security_report(scheme.code, sampled=args.sample, seed=args.seed)
+    report = security_report(scheme.code, seed=args.seed)
     sys.stdout.write(dumps_report(report, scheme.code))
     return 0
 
@@ -171,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="recorded in the report; changes no verdict")
     p.add_argument(
         "--sample", action="store_true",
-        help="lift only the n > 14 guard, not the 2^24 budget of the code's spectrum; the "
-        "report is marked sampled and its verdicts and counterexamples are the exhaustive report's",
+        help="accepted and ignored: every report is exact, and one past n = 14 is marked sampled",
     )
     p.set_defaults(handler=cmd_analyze)
 

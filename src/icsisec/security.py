@@ -41,9 +41,10 @@ thm4 suite.
 A report counterexample has one definition at every n: the first
 strength-t known set, in combinations order, that leaves an index hidden.
 Below t = n - k it is {1..t}. The strengths from n - k to the threshold
-are found by the known-set scan up to EXHAUSTIVE_SWEEP_LIMIT, whose hits
-come with their hidden index, and by one walk of the dual beyond it, and
-thm1 checks the walk against the scan. Each known set is reduced once.
+are found by the known-set scan while it fits SCAN_BUDGET reductions,
+whose hits come with their hidden index, and by one walk of the dual
+otherwise, and thm1 checks the walk against the scan wherever both fit.
+Each known set is reduced once.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from .code import (
 )
 
 EXHAUSTIVE_SWEEP_LIMIT = 14
+SCAN_BUDGET = 1 << 14
 ORACLE_SPACE_LIMIT = 1 << 20
 LIST_LIMIT = 1 << 20
 
@@ -586,15 +588,12 @@ def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
     mask is the complement, and the fiber {b, b ^ h0} takes two XORs and
     two bit counts. The result does not depend on the order of the dual
     rows, so they are taken lightest first: h0 then has the fewest root
-    tables, and the odometer's fastest digit adds the sparsest row.
+    tables, and the odometer's fastest digit adds the sparsest row. The
+    walk covers all q^(n-k) dual words; its callers bound that.
     """
-    n, k = code.length, code.dimension
+    n = code.length
     field = code.field
     q = field.q
-    if q ** (n - k) > MAX_ENUMERATION:
-        raise TooLargeToEnumerateError(
-            f"q^(n-k) = {q}^{n - k} dual codewords exceed {MAX_ENUMERATION}"
-        )
     rows = sorted(code.dual.generator.entries, key=lambda row: n - row.count(0))
     best = [-1] * (n + 1)
     if q == 2:
@@ -639,57 +638,53 @@ def _first_counterexamples(
     stops early at a strength where the scan finds none.
 
     Below n - k the hit is {1..t}, since |U| > k >= rank(G_U). Only
-    [n - k, threshold) is searched; it is empty exactly for MDS codes. For
-    n <= EXHAUSTIVE_SWEEP_LIMIT the scan searches it, and its hits come
-    with their hidden index. Beyond that one walk of the dual fills it.
-    Every set the scan did not reduce is reduced once to find its hidden
-    index.
+    [n - k, threshold) is searched; it is empty exactly for MDS codes. The
+    scan searches it when its sum of C(n, t) known sets fits SCAN_BUDGET
+    reductions, and its hits come with their hidden index; every n <= 14
+    fits. Otherwise one walk of the q^(n-k) dual words fills it, within
+    MAX_ENUMERATION, and the report is refused when neither fits. Every
+    set the scan did not reduce is reduced once to find its hidden index.
     """
     n, k = code.length, code.dimension
     found = [_counterexample(code, range(1, t + 1)) for t in range(n - k)]
     searched = range(n - k, threshold)
-    if not searched:
+    scan = sum(math.comb(n, t) for t in searched)
+    if scan <= SCAN_BUDGET:
+        for t in searched:
+            hit = _complete_insecurity_exhaustive(code, t)
+            if hit is None:
+                break
+            found.append(hit)
         return found
-    if n > EXHAUSTIVE_SWEEP_LIMIT:
-        walked = _dual_first_hits(code)[n - k:threshold]
-        return found + [_counterexample(code, known) for known in walked]
-    for t in searched:
-        hit = _complete_insecurity_exhaustive(code, t)
-        if hit is None:
-            break
-        found.append(hit)
-    return found
+    q = code.field.q
+    if q ** (n - k) > MAX_ENUMERATION:
+        raise TooLargeToEnumerateError(
+            f"known-set scan of {scan} reductions exceeds {SCAN_BUDGET}, and "
+            f"q^(n-k) = {q}^{n - k} dual codewords exceed {MAX_ENUMERATION}"
+        )
+    walked = _dual_first_hits(code)[n - k:threshold]
+    return found + [_counterexample(code, known) for known in walked]
 
 
-def security_report(
-    code: LinearCode,
-    *,
-    sampled: bool = False,
-    seed: int = 0,
-) -> SecurityReport:
+def security_report(code: LinearCode, *, seed: int = 0) -> SecurityReport:
     """The full security ladder of a code, one verdict per strength.
 
-    Verdicts are exact in both modes and follow from (d, d_dual): the
+    Verdicts are exact at every n and follow from (d, d_dual): the
     measured block level at strength t is max(0, d - 1 - t), and complete
     insecurity holds exactly from t = n - d_dual + 1. Below that threshold
-    each strength carries a counterexample in both modes: the first
-    strength-t known set, in combinations order, that leaves an index
-    hidden, with the first index the attack's row reduction leaves hidden.
-    For n <= EXHAUSTIVE_SWEEP_LIMIT the report is "exhaustive"; beyond that
-    it is refused unless sampled=True, and is then marked "sampled". Only
-    the searched strengths [n - k, threshold) cost more than one reduction
-    each: the known-set scan finds them for n <= EXHAUSTIVE_SWEEP_LIMIT,
-    one walk of the q^(n-k) dual codewords beyond that, and MDS codes have
-    none. The seed is recorded but changes no verdict.
+    each strength carries a counterexample: the first strength-t known
+    set, in combinations order, that leaves an index hidden, with the
+    first index the attack's row reduction leaves hidden. The mode is a
+    label only: "exhaustive" for n <= EXHAUSTIVE_SWEEP_LIMIT, "sampled"
+    beyond. Only the searched strengths [n - k, threshold) cost more than
+    one reduction each: the known-set scan finds them within SCAN_BUDGET
+    reductions, one walk of the q^(n-k) dual codewords otherwise, and MDS
+    codes have none. The seed is recorded but changes no verdict.
     """
     n = code.length
     d = code.min_distance
     dual_distance = code.dual_distance
     threshold = n - dual_distance + 1
-    if n > EXHAUSTIVE_SWEEP_LIMIT and not sampled:
-        raise TooLargeToEnumerateError(
-            f"exhaustive report refused for n={n} > {EXHAUSTIVE_SWEEP_LIMIT}; request sampling"
-        )
     mode = "sampled" if n > EXHAUSTIVE_SWEEP_LIMIT else "exhaustive"
     counterexamples = _first_counterexamples(code, threshold)
     verdicts = []

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,7 +60,7 @@ from .icsi import (
 )
 from .rng import Rng
 from .security import (
-    EXHAUSTIVE_SWEEP_LIMIT,
+    SCAN_BUDGET,
     AdversaryView,
     AttackOutcome,
     ListTooLargeError,
@@ -245,15 +246,17 @@ def _spectrum_mismatch(code: LinearCode) -> Optional[dict]:
 
 
 def _first_hit_mismatch(code: LinearCode) -> Optional[dict]:
-    """Where the dual fits the enumeration guard and n is within the
-    known-set scan's limit, check the dual walk's first hit against the
-    scan at every strength below n - d_dual + 1. Returns the first
-    disagreement, or None."""
+    """Where the dual fits the enumeration guard and the searched strengths
+    fit the known-set scan's budget, check the dual walk's first hit
+    against the scan at every strength below n - d_dual + 1. Returns the
+    first disagreement, or None."""
     n, k, q = code.length, code.dimension, code.field.q
-    if k == n or q ** (n - k) > MAX_ENUMERATION or n > EXHAUSTIVE_SWEEP_LIMIT:
+    threshold = n - code.dual_distance + 1
+    scan = sum(math.comb(n, t) for t in range(n - k, threshold))
+    if k == n or q ** (n - k) > MAX_ENUMERATION or scan > SCAN_BUDGET:
         return None
     walked = _dual_first_hits(code)
-    for t in range(n - code.dual_distance + 1):
+    for t in range(threshold):
         hit = _complete_insecurity_exhaustive(code, t)
         scanned = None if hit is None else sorted(hit.known)
         walk = list(walked[t]) if t < len(walked) else None

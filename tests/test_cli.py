@@ -22,8 +22,9 @@ from pathlib import Path
 import pytest
 
 from icsisec import cli
-from icsisec.algebra import Field
-from icsisec.code import reed_solomon_code
+from icsisec.algebra import Field, Matrix
+from icsisec.code import LinearCode, reed_solomon_code
+from icsisec.rng import Rng
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -50,6 +51,35 @@ def write_doc(tmp_path, name, document):
     path = tmp_path / name
     path.write_text(json.dumps(document), encoding="utf-8")
     return str(path)
+
+
+def seeded_code(field, seed, n, k):
+    """A [n, k] code from uniform rows of Rng(seed), redrawn from the same
+    stream until they are independent."""
+    rng = Rng(seed)
+    while True:
+        code = LinearCode(Matrix(field, tuple(
+            tuple(rng.below(field.q) for _ in range(n)) for _ in range(k)
+        )))
+        if code.dimension == k:
+            return code
+
+
+def write_code(tmp_path, name, field_doc, code):
+    """An instance whose broadcast code is `code`: the receiver of row i
+    demands its pivot column, holds the other non-pivot columns, and uses
+    row i without its pivot as its choice vector."""
+    pivots = code.pivot_columns
+    side = [j for j in range(1, code.length + 1) if j not in pivots]
+    return write_doc(tmp_path, name, {
+        "field": field_doc,
+        "n": code.length,
+        "receivers": [{"side_info": side, "demand": p} for p in pivots],
+        "choice_policy": [
+            [0 if j == p else v for j, v in enumerate(row, 1)]
+            for row, p in zip(code.generator.entries, pivots)
+        ],
+    })
 
 
 def call_main(capsys, *args):
@@ -113,7 +143,7 @@ class TestAnalyze:
         assert "split" in result.stderr
         json.loads(result.stdout)
 
-    def test_guard_without_sample_is_exit_3(self, tmp_path):
+    def test_sample_changes_no_byte(self, tmp_path):
         path = write_doc(
             tmp_path,
             "wide.json",
@@ -123,19 +153,32 @@ class TestAnalyze:
                 "receivers": [{"side_info": list(range(2, 16)), "demand": 1}],
             },
         )
-        result = run_cli("analyze", path)
-        assert result.returncode == 3
-        assert result.stdout == ""
-        sampled = run_cli("analyze", path, "--sample", "--seed", "7")
-        assert sampled.returncode == 0, sampled.stderr
-        report = json.loads(sampled.stdout)
+        result = run_cli("analyze", path, "--seed", "7")
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
         assert report["mode"] == "sampled"
         assert report["seed"] == 7
+        sampled = run_cli("analyze", path, "--sample", "--seed", "7")
+        assert sampled.returncode == 0, sampled.stderr
+        assert sampled.stdout == result.stdout
+
+    def test_long_binary_code_needs_no_sample(self, tmp_path):
+        # A seeded [30, 15] binary code: its searched strengths are past the
+        # known-set scan's budget, so the walk of its 2^15 dual words finds
+        # their counterexamples.
+        path = write_code(tmp_path, "rand30_15.json", {"p": 2}, seeded_code(Field(2), 1, 30, 15))
+        result = run_cli("analyze", path)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["mode"] == "sampled"
+        for flags in ((), ("-O",)):
+            sampled = run_cli("analyze", path, "--sample", interpreter_flags=flags)
+            assert sampled.returncode == 0, sampled.stderr
+            assert sampled.stdout == result.stdout
 
     def test_sample_does_not_lift_codeword_guard(self, tmp_path):
         # A seeded [20, 10] code over F7: q^k = q^(n-k) = 7^10 words on both
         # sides exceed the 2^24 budget, and no [20, 10] code over F7 is MDS,
-        # so no route finds d and d_dual, and --sample does not lift that.
+        # so no route finds d and d_dual; --sample changes nothing.
         rng = random.Random(20)
         tail = [[rng.randrange(7) for _ in range(10)] for _ in range(10)]
         path = write_doc(
@@ -156,7 +199,7 @@ class TestAnalyze:
     def test_small_dual_does_not_lift_codeword_guard(self, tmp_path):
         # [16, 10] over F7: q^k = 7^10 codewords exceed the 2^24 budget and
         # the code is not MDS, so it is refused however small its 7^6-word
-        # dual is; --sample does not lift that.
+        # dual is; --sample changes nothing.
         path = write_doc(
             tmp_path,
             "f7.json",
@@ -176,17 +219,7 @@ class TestAnalyze:
     def test_dual_past_the_guard_is_analysed(self, tmp_path):
         # RS [12, 4] over F13: the code has 13^4 codewords and its dual 13^8,
         # over the 2^24 guard; d_dual comes from the code's own walk.
-        rows = reed_solomon_code(12, 4, Field(13)).generator.entries
-        path = write_doc(
-            tmp_path,
-            "rs12_4_f13.json",
-            {
-                "field": {"p": 13},
-                "n": 12,
-                "receivers": [{"side_info": list(range(5, 13)), "demand": i} for i in range(1, 5)],
-                "choice_policy": [[0 if j == i else v for j, v in enumerate(row)] for i, row in enumerate(rows)],
-            },
-        )
+        path = write_code(tmp_path, "rs12_4_f13.json", {"p": 13}, reed_solomon_code(12, 4, Field(13)))
         result = run_cli("analyze", path)
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout)
@@ -201,17 +234,8 @@ class TestAnalyze:
         # RS [16, 4] over GF(16): 16^4 codewords, but a dual of 16^12. An MDS
         # code has d_dual = k + 1, so every strength below the threshold
         # n - k takes the known set {1..t} and the dual is never walked.
-        rows = reed_solomon_code(16, 4, Field(2, 4)).generator.entries
-        path = write_doc(
-            tmp_path,
-            "rs16_4_gf16.json",
-            {
-                "field": {"p": 2, "m": 4},
-                "n": 16,
-                "receivers": [{"side_info": list(range(5, 17)), "demand": i} for i in range(1, 5)],
-                "choice_policy": [[0 if j == i else v for j, v in enumerate(row)] for i, row in enumerate(rows)],
-            },
-        )
+        code = reed_solomon_code(16, 4, Field(2, 4))
+        path = write_code(tmp_path, "rs16_4_gf16.json", {"p": 2, "m": 4}, code)
         result = run_cli("analyze", path, "--sample")
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout)
@@ -228,27 +252,34 @@ class TestAnalyze:
         assert optimized.returncode == 0, optimized.stderr
         assert optimized.stdout == result.stdout
 
-    def test_sample_refuses_a_large_dual_by_its_size(self, tmp_path):
-        # [20, 3] over F3 with columns 19 and 20 equal: q^k = 27, but
-        # d_dual = 2 leaves strengths 17 and 18 to a walk of 3^17 dual words.
-        rows = [
-            [int(j == i) for j in range(3)] + [(i + j) % 3 for j in range(16)] + [(i + 15) % 3]
+    def test_large_dual_with_a_small_scan_is_scanned(self, tmp_path):
+        # [20, 3] over F3 with columns 19 and 20 equal: q^k = 27, and d_dual
+        # = 2 leaves strengths 17 and 18 to search. Their C(20, 17) +
+        # C(20, 18) = 1,330 known sets fit the scan's budget, so the 3^17
+        # dual words, past the 2^24 guard, are never walked.
+        code = LinearCode(Matrix(Field(3), tuple(
+            tuple([int(j == i) for j in range(3)] + [(i + j) % 3 for j in range(16)] + [(i + 15) % 3])
             for i in range(3)
-        ]
-        path = write_doc(
-            tmp_path,
-            "f3_20_3.json",
-            {
-                "field": {"p": 3},
-                "n": 20,
-                "receivers": [{"side_info": list(range(4, 21)), "demand": i} for i in range(1, 4)],
-                "choice_policy": [[0 if j == i else v for j, v in enumerate(row)] for i, row in enumerate(rows)],
-            },
-        )
-        result = run_cli("analyze", path, "--sample")
+        )))
+        path = write_code(tmp_path, "f3_20_3.json", {"p": 3}, code)
+        result = run_cli("analyze", path)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["insecure_from"] == 19
+        for s in report["strengths"][17:19]:
+            cex = s["counterexample"]
+            assert len(cex["known"]) == s["t"] and cex["resisted"] not in cex["known"]
+            assert code.confined_combination(frozenset(cex["known"]), cex["resisted"]) is None
+
+    def test_scan_and_dual_past_their_budgets_is_exit_3(self, tmp_path):
+        # A seeded [30, 10] code over F3: its searched strengths hold over
+        # C(30, 20) > 3 * 10^7 known sets, and its dual 3^20 words.
+        path = write_code(tmp_path, "rand30_10_f3.json", {"p": 3}, seeded_code(Field(3), 0, 30, 10))
+        result = run_cli("analyze", path)
         assert result.returncode == 3
         assert result.stdout == ""
-        assert "q^(n-k) = 3^17 dual codewords" in result.stderr
+        assert "reductions exceeds 16384" in result.stderr
+        assert "q^(n-k) = 3^20 dual codewords exceed 16777216" in result.stderr
 
     def test_missing_file_is_exit_1(self):
         result = run_cli("analyze", str(INSTANCES / "absent.json"))
@@ -723,7 +754,6 @@ def request_transcript(paths=None, seed=13, per_instance=25, listed=True):
     seed. Every broadcast is the one encode printed, so every observation
     is consistent."""
     from icsisec.fileio import load_instance
-    from icsisec.rng import Rng
 
     if paths is None:
         paths = [str(INSTANCES / f"{name}.json") for name in SHIPPED]
@@ -764,8 +794,6 @@ def write_random_instances(directory, seed=29, instances=RANDOM_INSTANCES):
     """`instances` as files under `directory`: each receiver demands a
     random message, holds each other one with probability 1/2, and has a
     random choice vector confined to its side information."""
-    from icsisec.rng import Rng
-
     rng = Rng(seed)
     paths = []
     for name, field_doc, n, m in instances:
@@ -838,7 +866,6 @@ class TestListParity:
         from icsisec.algebra import Vector
         from icsisec.fileio import load_instance
         from icsisec.icsi import build_scheme, encode
-        from icsisec.rng import Rng
         from icsisec.security import AdversaryView, complete_insecurity_attack, list_attack
 
         (path,) = write_random_instances(tmp_path, seed=31, instances=(instance,))

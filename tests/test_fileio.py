@@ -204,8 +204,8 @@ print(hashlib.sha256(dumps_report(security_report(code), code).encode("utf-8")).
 """
 
 
-# SHA-256 of dumps_report(security_report(code, sampled=True), code) for
-# seeded random binary codes past the known-set scan's n <= 14, whose
+# SHA-256 of dumps_report(security_report(code), code) for seeded random
+# binary codes past n = 14, whose reports are labelled sampled and whose
 # counterexamples come from the walk of the dual: (seed, n, k, digest).
 BINARY_REPORT_DIGESTS = {
     "rand16_8": (1, 16, 8, "a7cfa99ea4420438f3c0c6e22574172d229e134bcbdf1ab013308d8784bf48b6"),
@@ -220,7 +220,7 @@ from icsisec.code import LinearCode
 from icsisec.fileio import dumps_report
 from icsisec.security import security_report
 code = LinearCode(Matrix(Field(2), tuple(map(tuple, json.loads(sys.argv[1])))))
-text = dumps_report(security_report(code, sampled=True), code)
+text = dumps_report(security_report(code), code)
 print(hashlib.sha256(text.encode("utf-8")).hexdigest())
 """
 
@@ -263,7 +263,7 @@ class TestReportDigests:
     def test_sampled_binary_report_bytes_are_pinned(self, name):
         seed, n, k, digest = BINARY_REPORT_DIGESTS[name]
         code = LinearCode(Matrix(Field(2), seeded_binary_rows(seed, n, k)))
-        text = dumps_report(security_report(code, sampled=True), code)
+        text = dumps_report(security_report(code), code)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_sampled_binary_report_bytes_are_pinned_without_asserts(self):

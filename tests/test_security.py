@@ -6,7 +6,6 @@ oracle is additionally cross-checked against the rank route on a full
 small sweep, independent of the verify module's suites.
 """
 
-import dataclasses
 import itertools
 from collections import Counter
 
@@ -497,10 +496,12 @@ class TestSecurityReport:
         assert report.insecurity_threshold == 4
 
     def test_guard_and_sampled_mode(self):
+        # Past n = 14 the exhaustive rank sweep is refused, while the report,
+        # exact at every length, is only labelled sampled.
         wide = LinearCode(Matrix(F2, (tuple([1] * 15),)))
         with pytest.raises(TooLargeToEnumerateError):
-            security_report(wide)
-        report = security_report(wide, sampled=True, seed=7)
+            block_security_level(wide, 0)
+        report = security_report(wide, seed=7)
         assert report.mode == "sampled"
         assert report.seed == 7
         assert report.insecurity_threshold == 14
@@ -561,7 +562,7 @@ class TestClosedFormLadder:
                 n = 15 + rng.below(6)
                 rows = tuple(tuple(rng.below(field.q) for _ in range(n)) for _ in range(n // 2))
                 code = LinearCode(Matrix(field, rows))
-                report = security_report(code, sampled=True)
+                report = security_report(code)
                 assert report.mode == "sampled"
                 for v in report.strengths:
                     t = v.strength
@@ -622,17 +623,24 @@ def walk_codes(draw):
 
 
 class TestOneCounterexampleDefinition:
-    """Sampled reports print the known-set scan's first hit, filled by one
-    walk of the dual past EXHAUSTIVE_SWEEP_LIMIT."""
+    """Reports print the known-set scan's first hit, filled by one walk of
+    the dual where the scan is past SCAN_BUDGET, as it is for the long
+    codes of sampled reports."""
 
     def test_sampled_route_equals_exhaustive_on_corpus(self, monkeypatch):
         corpus = builtin_corpus(0)
         exhaustive = [security_report(entry.code) for entry in corpus]
-        monkeypatch.setattr(security_module, "EXHAUSTIVE_SWEEP_LIMIT", 0)
+        walks = []
+        original = security_module._dual_first_hits
+        monkeypatch.setattr(security_module, "SCAN_BUDGET", 0)
+        monkeypatch.setattr(
+            security_module, "_dual_first_hits", lambda code: walks.append(1) or original(code)
+        )
         for entry, expected in zip(corpus, exhaustive):
-            report = security_report(entry.code, sampled=True)
-            assert report.mode == "sampled"
-            assert dataclasses.replace(report, mode="exhaustive") == expected, entry.name
+            assert security_report(entry.code) == expected, entry.name
+        # Every code with a strength to search, i.e. every non-MDS one, walks.
+        searched = [e for e in corpus if e.code.dual_distance <= e.code.dimension]
+        assert len(walks) == len(searched) > 0
 
     @staticmethod
     def check_walk(code):
@@ -686,9 +694,16 @@ class TestTheoremViolation:
             rows = [[int(c == r) for c in range(width)] + [0] for r in range(width)]
             return unknown, rows, list(range(width))
 
+        walks = []
+        original = security_module._dual_first_hits
         monkeypatch.setattr(security_module, "_reduce_unknowns", all_recovered)
+        monkeypatch.setattr(
+            security_module, "_dual_first_hits", lambda code: walks.append(1) or original(code)
+        )
         if sampled:
-            # Past the limit, hamming7's report is built in sampled mode.
-            monkeypatch.setattr(security_module, "EXHAUSTIVE_SWEEP_LIMIT", 6)
+            # Past the scan's budget, hamming7's strength 3 is found by the
+            # walk of the dual, the route of the sampled reports of long codes.
+            monkeypatch.setattr(security_module, "SCAN_BUDGET", 0)
         with pytest.raises(TheoremViolationError):
-            security_report(hamming(), sampled=sampled)
+            security_report(hamming())
+        assert len(walks) == int(sampled)
