@@ -7,7 +7,7 @@ error, and the exit code tells the caller what happened:
     1  I/O failure (unreadable or missing file)
     2  malformed instance, bad flag values, or arity mismatch
     3  an enumeration guard fired; for analyze: over 2^24 codewords in
-       the code (q^k) with no MDS certificate within the 2^24 budget; a
+       the code (q^k) and a generator that fails the GRS test; a
        first-of-weight search past 2^24 nodes; or a known-set scan past
        2^14 reductions with over 2^24 words in the dual (q^(n-k))
     4  a receiver cannot decode its demand

@@ -1,24 +1,22 @@
 """Linear [n, k] block codes over a finite field.
 
 The weight spectrum, the first codeword of each weight, and the distances
-read from them come from the cheaper of two routes under a small cost
-model, each within a 2^24 budget:
+read from them come from the first of three routes that applies, in a
+fixed order:
 
-  code  one walk over the q^k codewords, in q^(k-1) fibers of q words;
-        over F2 each word packs into one int (_binary_span), so a step is
-        one XOR and a weight one bit count
-  mds   for q > 2, a certificate that every k columns are independent
-        (C(n, k) rank queries, after an O(nk) pre-filter), then the
-        closed-form MDS spectrum; a failed certificate falls through to
-        the walk
+  grs     the GRS test on the generator [I | A], in O(k(n - k)) field
+          operations; a pass proves the code MDS, so the spectrum is the
+          closed form, and a pruned search in codeword order finds the
+          first codeword of each weight
+  walk    one walk over the q^k codewords, in q^(k-1) fibers of q words,
+          when q^k is within the 2^24 budget; over F2 (_binary_span) a
+          step is one XOR and a weight one bit count
+  refuse  otherwise, however small the dual is
 
-After "mds", a pruned depth-first search in codeword order finds the
-first codeword of each weight. A code past the walk's q^k budget is
-analysed only when it is MDS, however small its dual is; otherwise it is
-refused. The dual distance always comes from the code's spectrum through
-the MacWilliams identity, in exact integer arithmetic; the dual code
-itself (a nullspace basis) is built only where a dual codeword is needed
-or where the transform is cross-checked. The orthogonal-array tuple count
+The dual distance always comes from the code's spectrum through the
+MacWilliams identity, in exact integer arithmetic; the dual code itself
+(a nullspace basis) is built only where a dual codeword is needed or
+where the transform is cross-checked. The orthogonal-array tuple count
 and the systematic Reed-Solomon construction support the security
 analysis layered on top.
 
@@ -49,15 +47,6 @@ from .algebra import (
 
 MAX_ENUMERATION = 1 << 24
 MAX_TUPLE_SPACE = 1 << 20
-
-# The spectrum's cost model for q > 2: estimated microseconds per unit of
-# work, fitted under CPython 3.11 on a 2-vCPU Xeon. Only the ratios pick a
-# route.
-_FIBER_COORD_US = 0.45  # one coordinate of a q-ary fiber step
-_FIBER_WORD_US = 0.1  # one word of a q-ary fiber
-_RANK_QUERY_US = 3.0  # one certificate rank query, plus per row:
-_RANK_ROW_US = 4.0
-_SEARCH_US = 1.0  # the first-of-weight search, per unit of n*k*q
 
 
 class CodeError(Exception):
@@ -286,6 +275,14 @@ def _first_of_each_weight(
     return firsts
 
 
+def _independent_points(field: Field, points: Iterable[tuple[int, int]]) -> bool:
+    """Whether nonzero points of F_q^2 are pairwise independent: no two
+    scale to the same (1, y), or both to (0, 1)."""
+    mul, inv = field.mul, field.inv
+    slopes = [mul(y, inv(x)) if x else -1 for x, y in points]
+    return len(set(slopes)) == len(slopes)
+
+
 def _mds_distribution(n: int, k: int, q: int) -> tuple[int, ...]:
     """The weight distribution of any [n, k] MDS code over F_q, d = n - k + 1:
     A_w = C(n, w) sum_{j=0}^{w-d} (-1)^j C(w, j) (q^(w-d+1-j) - 1) for
@@ -343,37 +340,41 @@ class LinearCode:
             raise TooLargeToEnumerateError(f"q^k = {q}^{k} codewords exceed {MAX_ENUMERATION}")
         return iterate_span(self.field, self.generator.entries)
 
-    def _routes(self) -> list[str]:
-        """The spectrum routes that fit the budget, cheapest first.
-
-        "code" walks the q^k codewords. "mds" makes C(n, k) rank queries of
-        k x k entries, within the budget counted in entries, and is open
-        only for q > 2 and when the generator passes the pre-filter: over
-        F2 only the trivial [n, 1], [n, n-1] and [n, n] codes are MDS, and
-        the packed walk answers them. "mds" leaves the first codeword of
-        each weight to the search; its node count varies with the code,
-        and is of the order of n*k*q on the structured and random codes
-        measured.
-        """
-        n, k, q = self.length, self.dimension, self.field.q
-        routes = []
-        if q ** k <= MAX_ENUMERATION:
-            routes.append((q ** (k - 1) * (n * _FIBER_COORD_US + q * _FIBER_WORD_US), "code"))
-        queries = comb(n, k)
-        if q > 2 and queries * k * k <= MAX_ENUMERATION and self._mds_prefilter():
-            cost = queries * (_RANK_QUERY_US + k * _RANK_ROW_US) + n * k * q * _SEARCH_US
-            routes.append((cost, "mds"))
-        return [route for _, route in sorted(routes)]
+    def _free_block(self) -> list[list[int]]:
+        """A, the generator's block outside its pivot columns: up to the
+        order of its columns, the generator is [I | A]."""
+        free = [j for j in range(self.length) if j + 1 not in self.pivot_columns]
+        return [[row[j] for j in free] for row in self.generator.entries]
 
     def _mds_prefilter(self) -> bool:
-        """Whether the generator has no zero entry outside its pivot
-        columns, in O(nk). Every MDS code passes: a k-column set made of a
-        zero entry's column and the other k - 1 pivot columns has rank
-        k - 1."""
-        pivots = self.pivot_columns
-        return all(
-            row[j] for row in self.generator.entries for j in range(self.length) if j + 1 not in pivots
-        )
+        """Whether A has no zero entry, in O(nk). Every MDS code passes: a
+        k-column set made of a zero entry's column and the other k - 1
+        pivot columns has rank k - 1."""
+        return all(map(all, self._free_block()))
+
+    def _grs_certified(self) -> bool:
+        """Whether [I | A] passes a test, in O(k(n - k)) field operations,
+        that proves the code MDS (Roth & Seroussi, IEEE T-IT 31(6), 1985):
+        A has no zero entry and, for k, n - k >= 2, its entrywise inverse B
+        has rank 2 with pairwise independent points U_i = (B_i[p1],
+        B_i[p2]), at the pivots of B's reduced form, and V_j = (R1[j],
+        R2[j]), from its two rows. Then B = U V^T and A = 1/(U V^T) is a
+        Cauchy matrix, whose square submatrices are all nonsingular
+        (MacWilliams & Sloane, ch. 11). Every generalized Reed-Solomon code
+        passes; a failure proves nothing."""
+        if not self._mds_prefilter():
+            return False
+        k = self.dimension
+        if k == 1 or self.length - k <= 1:
+            return True
+        field = self.field
+        inverse = [list(map(field.inv, row)) for row in self._free_block()]
+        rows, pivots = _rref_raw(field, inverse)
+        if len(pivots) != 2:
+            return False
+        p1, p2 = pivots
+        points = [(b[p1], b[p2]) for b in inverse]
+        return _independent_points(field, points) and _independent_points(field, zip(*rows[:2]))
 
     def _certified_mds(self) -> bool:
         """Whether every k columns of the generator are independent, which
@@ -388,24 +389,20 @@ class LinearCode:
 
     @cached_property
     def _spectrum(self) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
-        # The weight distribution and the first codeword of each weight,
-        # from the cheapest route _routes offers. Walking the code gives
-        # both. A certificate gives the MDS closed form, and the first
-        # codewords come from the pruned search over its weight set; a
-        # failed certificate falls through to the walk.
+        # The weight distribution and the first codeword of each weight:
+        # the MDS closed form and the pruned search, else the walk.
         field, n, k = self.field, self.length, self.dimension
         q = field.q
         rows = self.generator.entries
-        for route in self._routes():
-            if route == "code":
-                return _walk_spectrum(field, rows, n)
-            if self._certified_mds():
-                counts = _mds_distribution(n, k, q)
-                weights = [w for w in range(1, n + 1) if counts[w]]
-                return counts, _first_of_each_weight(field, rows, n, weights)
+        if self._grs_certified():
+            counts = _mds_distribution(n, k, q)
+            weights = [w for w in range(1, n + 1) if counts[w]]
+            return counts, _first_of_each_weight(field, rows, n, weights)
+        if q ** k <= MAX_ENUMERATION:
+            return _walk_spectrum(field, rows, n)
         raise TooLargeToEnumerateError(
             f"q^k = {q}^{k} codewords exceed {MAX_ENUMERATION}, "
-            "and no MDS certificate holds within that budget"
+            "and the generator fails the GRS test that would prove it MDS"
         )
 
     @property
@@ -440,9 +437,9 @@ class LinearCode:
         """Minimum distance of the dual; n + 1 by convention when k = n.
 
         The dual's weight distribution is the MacWilliams transform of the
-        code's (cached) one, whichever route produced it; so this is
-        refused only where the spectrum is, however small the dual is: when
-        q^k exceeds the budget and no MDS certificate holds within it.
+        code's (cached) one: the GRS test's closed form, else the walk. So
+        this is refused only where the spectrum is, however small the dual
+        is: when the generator fails the GRS test and q^k exceeds 2^24.
         """
         n, k = self.length, self.dimension
         if k == n:

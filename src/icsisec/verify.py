@@ -7,9 +7,9 @@ names thm1 .. thm4 and lemma3):
           against a walk of the dual, the spectrum and first codeword of
           each weight (whichever route produced them) against a plain walk
           over every codeword, and on that walk's weights the pruned
-          first-of-weight search and the MDS certificate; the dual walk's
-          counterexample known sets against the known-set scan, and
-          per-code distance claims
+          first-of-weight search, the C(n, k) MDS certificate and the GRS
+          test; the dual walk's counterexample known sets against the
+          known-set scan, and per-code distance claims
   thm2    orthogonal-array counts in every <= d_dual - 1 column set
   lemma3  algebraic no-information test against brute force: every
           binary instance with n <= 4 and up to 3 receivers, each distinct
@@ -214,10 +214,11 @@ def _spectrum_mismatch(code: LinearCode) -> Optional[dict]:
     """Where the code fits the enumeration guard, check its weight
     distribution and first codeword of each weight, entries and order,
     against a plain walk over codewords() that looks at every codeword.
-    The same walk then checks the two parts of the other routes, whichever
-    route the code took: the pruned search over the walked weights, and
-    the MDS certificate against d = n - k + 1. Returns the first
-    disagreement, with its check name, or None."""
+    The same walk then checks the parts of the other route, whichever
+    route the code took: the pruned search over the walked weights, the
+    C(n, k) MDS certificate against d = n - k + 1, and the GRS test, which
+    may pass only where d = n - k + 1. Returns the first disagreement,
+    with its check name, or None."""
     n, k = code.length, code.dimension
     if code.field.q ** k > MAX_ENUMERATION:
         return None
@@ -242,6 +243,8 @@ def _spectrum_mismatch(code: LinearCode) -> Optional[dict]:
     walked_mds = next(w for w in range(1, n + 1) if counts[w]) == n - k + 1
     if code._certified_mds() != walked_mds:
         return {"check": "mds_certificate", "certified": not walked_mds, "walked_mds": walked_mds}
+    if code._grs_certified() and not walked_mds:
+        return {"check": "grs_certificate", "certified": True, "walked_mds": False}
     return None
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from icsisec import cli
-from icsisec.algebra import Field, Matrix
+from icsisec.algebra import Field, Matrix, Vector
 from icsisec.code import LinearCode, reed_solomon_code
 from icsisec.rng import Rng
 
@@ -229,6 +229,29 @@ class TestAnalyze:
         optimized = run_cli("analyze", path, interpreter_flags=("-O",))
         assert optimized.returncode == 0, optimized.stderr
         assert optimized.stdout == result.stdout
+
+    @pytest.mark.parametrize("n,k,field_doc", [
+        (24, 12, {"p": 5, "m": 2}), (32, 16, {"p": 2, "m": 5}),
+    ], ids=["rs24_12_gf25", "rs32_16_gf32"])
+    def test_reed_solomon_codes_past_the_walk_are_analysed(self, tmp_path, n, k, field_doc):
+        # 25^12 and 32^16 codewords, far past the 2^24 budget: the GRS test
+        # proves the code MDS, so d and d_dual need no walk.
+        field = Field(field_doc["p"], field_doc["m"])
+        code = reed_solomon_code(n, k, field)
+        path = write_code(tmp_path, f"rs{n}_{k}.json", field_doc, code)
+        result = run_cli("analyze", path)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert (report["code"]["d"], report["code"]["d_dual"]) == (n - k + 1, k + 1)
+        optimized = run_cli("analyze", path, interpreter_flags=("-O",))
+        assert optimized.returncode == 0, optimized.stderr
+        assert optimized.stdout == result.stdout
+        assert list(code.first_of_weight) == list(range(n - k + 1, n + 1))
+        for w, word in code.first_of_weight.items():
+            assert n - word.count(0) == w
+            # The word is the combination its pivot values give.
+            coefficients = Vector(field, tuple(word[p - 1] for p in code.pivot_columns))
+            assert code.generator.left_times(coefficients).entries == word
 
     def test_sampled_mds_report_walks_no_dual(self, tmp_path):
         # RS [16, 4] over GF(16): 16^4 codewords, but a dual of 16^12. An MDS

@@ -151,14 +151,14 @@ class TestLinearCode:
 
     def test_small_dual_does_not_lift_the_guard(self):
         # A seeded [16, 10] code over F7: its dual has only 7^6 words, but
-        # the code's 7^10 exceed the budget and it is not MDS, so the
-        # spectrum, and both distances read from it, are refused.
+        # the code's 7^10 exceed the budget and it fails the GRS test, so
+        # the spectrum, and both distances read from it, are refused.
         rng = random.Random(16)
         code = LinearCode(Matrix(Field(7), tuple(
             tuple(int(i == j) for j in range(10)) + tuple(rng.randrange(7) for _ in range(6))
             for i in range(10)
         )))
-        assert code._routes() in ([], ["mds"])
+        assert not code._grs_certified()
         with pytest.raises(TooLargeToEnumerateError, match=r"q\^k = 7\^10 codewords"):
             code.dual_distance
 
@@ -329,9 +329,10 @@ class TestFirstOfWeightSearch:
     @pytest.mark.parametrize("n,k,field", [
         (8, 4, Field(2, 4)), (10, 5, Field(2, 4)), (13, 7, Field(13)),
     ], ids=["rs8_4_gf16", "rs10_5_gf16", "rs13_7_f13"])
-    def test_reed_solomon_codes_need_no_walk(self, n, k, field):
+    def test_reed_solomon_codes_need_no_walk(self, n, k, field, monkeypatch):
         code = reed_solomon_code(n, k, field)
-        assert code._routes()[0] == "mds"
+        assert code._grs_certified()
+        monkeypatch.setattr(code_module, "_walk_spectrum", None)
         assert list(code.first_of_weight) == list(range(n - k + 1, n + 1))
         for w, word in code.first_of_weight.items():
             assert n - word.count(0) == w
@@ -343,8 +344,8 @@ class TestFirstOfWeightSearch:
 
 
 class TestSpectrumRoutes:
-    """The MDS certificate and its closed-form spectrum against the walk of
-    the code."""
+    """The GRS test, the C(n, k) MDS certificate and the closed-form
+    spectrum against the walk of the code."""
 
     @pytest.mark.parametrize("n,k,field", [
         (7, 3, F8), (8, 4, Field(3, 2)), (9, 3, Field(11)), (8, 4, Field(2, 4)),
@@ -354,59 +355,86 @@ class TestSpectrumRoutes:
         walked = code_module._walk_spectrum(field, code.generator.entries, n)[0]
         assert code_module._mds_distribution(n, k, field.q) == walked
         assert mds_weight_distribution(n, k, field.q) == walked
-        assert code._certified_mds()
+        assert code._certified_mds() and code._grs_certified()
 
     def test_failed_certificate_falls_back(self, monkeypatch):
-        # Every entry outside the pivot columns is nonzero, so the
-        # pre-filter passes, but columns 3 and 4 are equal: the last of the
-        # six 2-column sets has rank 1, the code is not MDS, and d = 2.
+        # Every entry of A = [[1, 1], [1, 1]] is nonzero, so the pre-filter
+        # passes, but its entrywise inverse has rank 1, not 2: the GRS test
+        # fails, and the walk answers, with no rank query. Columns 3 and 4
+        # are equal, so the code is not MDS, and d = 2.
         code = LinearCode(Matrix(F3, ((1, 0, 1, 1), (0, 1, 1, 1))))
-        assert code._mds_prefilter()
-        queries = []
-        original = LinearCode.rank_of_columns
+        assert code._mds_prefilter() and not code._grs_certified()
+        walks = []
+        original = code_module._walk_spectrum
 
-        def counted(self, positions):
-            queries.append(tuple(sorted(positions)))
-            return original(self, positions)
+        def counted(*args):
+            walks.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(LinearCode, "rank_of_columns", counted)
-        monkeypatch.setattr(LinearCode, "_routes", lambda self: ["mds", "code"])
+        monkeypatch.setattr(code_module, "_walk_spectrum", counted)
+        monkeypatch.setattr(LinearCode, "rank_of_columns", None)
         assert code.min_distance == 2
-        assert queries == list(itertools.combinations(range(1, 5), 2))
+        assert len(walks) == 1
         counts, firsts = plain_spectrum(code)
         assert code.weight_distribution == counts
         assert list(code.first_of_weight.items()) == list(firsts.items())
 
-    def test_cost_model_falls_back_by_itself(self):
+    def test_grs_test_falls_back_by_itself(self):
         # [8, 4] over GF(16) with no zero entry outside the pivots, but a
-        # singular 2 x 2 block: the certificate is the cheapest route and
-        # fails, and the code walk answers instead.
+        # singular 2 x 2 block: the GRS test fails, as it must on a code
+        # that is not MDS, and the code walk answers instead.
         gf16 = Field(2, 4)
         block = ((1, 1, 2, 3), (1, 1, 4, 5), (2, 6, 7, 8), (3, 9, 10, 11))
         code = LinearCode(Matrix(gf16, tuple(
             tuple(int(i == j) for j in range(4)) + block[i] for i in range(4)
         )))
-        assert code._routes()[0] == "mds"
-        assert not code._certified_mds()
+        assert code._mds_prefilter()
+        assert not code._grs_certified() and not code._certified_mds()
         assert code.weight_distribution == code_module._walk_spectrum(
             gf16, code.generator.entries, 8
         )[0]
         assert code.min_distance < 5 and not code.is_mds
 
-    def test_binary_codes_walk(self):
-        # even-weight [14, 13] is MDS and passes the pre-filter, but over F2
-        # only the trivial codes are MDS and the packed walk answers them.
-        code = LinearCode(Matrix(F2, tuple(
-            tuple(1 if j in (i, 13) else 0 for j in range(14)) for i in range(13)
+    @pytest.mark.parametrize("rows,grs", [
+        (tuple(tuple(1 if j in (i, 13) else 0 for j in range(14)) for i in range(13)), True),
+        (((1,) * 14,), True),
+        (((1, 0, 1, 1), (0, 1, 1, 1)), False),
+        (HAMMING_ROWS, False),
+    ], ids=["even14_13", "rep14_1", "ones4_2", "hamming7"])
+    def test_binary_codes_stay_cheap(self, rows, grs, monkeypatch):
+        # Over F2 only the trivial [n, 1], [n, n-1] and [n, n] codes are
+        # MDS. They pass the GRS test by its k = 1 and r = 1 rules; any
+        # other binary code fails it on a zero in A or on an all-ones
+        # inverse of rank 1 and walks. Neither route makes a rank query,
+        # and both agree with a plain walk.
+        code = LinearCode(Matrix(F2, rows))
+        monkeypatch.setattr(LinearCode, "rank_of_columns", None)
+        assert code._grs_certified() == grs
+        counts, firsts = plain_spectrum(code)
+        assert code.weight_distribution == counts
+        assert list(code.first_of_weight.items()) == list(firsts.items())
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(small_codes((F3, Field(5), Field(7), Field(2, 2), F8, Field(3, 2))))
+    def test_grs_test_passes_only_mds_codes(self, code):
+        if code._grs_certified():
+            assert code._certified_mds()
+
+    def test_mds_code_that_is_not_grs_walks(self):
+        # An MDS [6, 3] code over F11 whose A has an entrywise inverse of
+        # rank 3: the GRS test fails, and the walk finds d = 4.
+        code = LinearCode(Matrix(Field(11), (
+            (1, 0, 0, 1, 2, 10), (0, 1, 0, 6, 8, 10), (0, 0, 1, 9, 2, 9),
         )))
-        assert code._mds_prefilter()
-        assert code._routes() == ["code"]
+        assert not code._grs_certified()
+        assert code.is_mds and code._certified_mds()
+        assert code._spectrum == code_module._walk_spectrum(code.field, code.generator.entries, 6)
 
     @pytest.mark.parametrize("n,k,field", [
         (12, 8, Field(2, 4)), (13, 7, Field(13)),
     ], ids=["rs12_8_gf16", "rs13_7_f13"])
     def test_codes_past_the_walk_are_analysed(self, n, k, field):
-        # Both have over 2^24 codewords; the MDS certificate answers.
+        # Both have over 2^24 codewords; the GRS test answers.
         code = reed_solomon_code(n, k, field)
         assert field.q ** k > code_module.MAX_ENUMERATION
         assert (code.min_distance, code.dual_distance) == (n - k + 1, k + 1)

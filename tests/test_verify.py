@@ -304,6 +304,28 @@ class TestFailureReporting:
         assert (failure["code"], failure["check"]) == ("hamming7", "mds_certificate")
         assert (failure["certified"], failure["walked_mds"]) == (True, False)
 
+    def test_grs_test_passing_everything_fails(self, monkeypatch):
+        # A GRS test that accepts every code gives hamming7, the first
+        # corpus code that is not MDS, the closed form of an MDS [7, 4]
+        # code, which some check of thm1 must catch.
+        monkeypatch.setattr(LinearCode, "_grs_certified", lambda self: True)
+        result = run_suite("thm1")
+        assert not result.ok
+        assert result.failures[0]["code"] == "hamming7"
+
+    def test_grs_test_passing_after_the_route_fails_its_check(self, monkeypatch):
+        # A GRS test that answers truly while the spectrum is routed and
+        # accepts every code after: only the grs_certificate check sees it.
+        original = LinearCode._grs_certified
+        monkeypatch.setattr(
+            LinearCode, "_grs_certified",
+            lambda self: "_spectrum" in vars(self) or original(self),
+        )
+        result = run_suite("thm1")
+        assert not result.ok
+        failure = result.failures[0]
+        assert (failure["code"], failure["check"]) == ("hamming7", "grs_certificate")
+
     def test_wrong_dual_walk_fails_first_hit(self, monkeypatch):
         # A walk that answers with the last t indices instead of the first:
         # repetition3 has d_dual = 2, and at t = 1 the scan's hit is {1}.
