@@ -377,7 +377,7 @@ class Field:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        return _axpy(a, b, self.p - 1, self.p)
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:

@@ -6,12 +6,11 @@ error, and the exit code tells the caller what happened:
     0  success
     1  I/O failure (unreadable or missing file)
     2  malformed instance, bad flag values, or arity mismatch
-    3  an enumeration guard fired; for analyze: over 2^24 codewords in
-       the code (q^k) and a generator that fails the GRS test; a
-       first-of-weight search past 2^24 nodes; or a known-set scan past
-       2^14 reductions with over 2^24 words in the dual (q^(n-k))
+    3  an enumeration guard fired; its message, from code._guard, reads
+       "<loop>: size <size> exceeds the limit <limit>" for each route
     4  a receiver cannot decode its demand
-    5  candidate list unavailable (too large, or known columns break rank)
+    5  candidate list unavailable: too large (in the message form of 3),
+       or the unknown columns lose rank
     6  a verification suite found a property violation
 
 The environment variable ICSI_SEC_THREADS (a worker-count hint; the

@@ -16,9 +16,15 @@ fixed order:
 The dual distance always comes from the code's spectrum through the
 MacWilliams identity, in exact integer arithmetic; the dual code itself
 (a nullspace basis) is built only where a dual codeword is needed or
-where the transform is cross-checked. The orthogonal-array tuple count
-and the systematic Reed-Solomon construction support the security
-analysis layered on top.
+where the transform is cross-checked. The walk of the dual,
+_dual_first_hits, lives next to the code's and gives the security report
+its counterexample known sets past the known-set scan's budget.
+
+Every exponential loop of the package is checked by the one helper
+_guard against its budget: MAX_ENUMERATION (2^24) for codewords and
+search nodes, MAX_SPACE (2^20) for message vectors, value tuples and
+candidates. A refusal reads "<loop>: size <size> exceeds the limit
+<limit>" for each route it covers.
 
 A LinearCode normalizes whatever spanning rows it is given to the reduced
 row echelon basis, so two equal row spaces always produce identical
@@ -46,7 +52,7 @@ from .algebra import (
 )
 
 MAX_ENUMERATION = 1 << 24
-MAX_TUPLE_SPACE = 1 << 20
+MAX_SPACE = 1 << 20
 
 
 class CodeError(Exception):
@@ -77,6 +83,21 @@ class MacWilliamsError(CodeError):
     """The MacWilliams transform of a weight distribution is not the weight
     distribution of a code: a count is fractional or negative, or the zero
     word is not counted exactly once. The input was not a linear code's."""
+
+
+def _guard(
+    loop: str, size: int, limit: Optional[int] = None, *,
+    error: type[Exception] = TooLargeToEnumerateError, also: Optional[tuple[str, int, int]] = None,
+) -> None:
+    """The one budget check on an exponential loop: a `loop` of `size`
+    steps past `limit`, MAX_ENUMERATION when None, is refused by raising
+    `error` with the message "<loop>: size <size> exceeds the limit
+    <limit>". `also` is (loop, size, limit) of a route tried first and
+    found past its own limit; the refusal then names both, that one first."""
+    limit = MAX_ENUMERATION if limit is None else limit
+    if size > limit:
+        routes = [r for r in (also, (loop, size, limit)) if r]
+        raise error(", and ".join(f"{r}: size {s} exceeds the limit {b}" for r, s, b in routes))
 
 
 def iterate_span(
@@ -198,6 +219,61 @@ def _walk_spectrum(
     return tuple(counts), firsts
 
 
+def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
+    """The scan's first hit at every strength t <= n - d_dual, from one walk
+    of the dual; entry t is the known set, ascending.
+
+    A known set K leaves an index hidden exactly when it lies inside the
+    zero set of some nonzero dual codeword h, and the first t-subset of a
+    zero set in combinations order is its first t indices. Written as a
+    bitmask with index 1 as the top bit, a larger zero set has an earlier
+    (or equal) t-prefix, so the first hit at strength t is the top t bits
+    of the largest mask with at least t zeros. The walk runs over fibers
+    b + c*h0 as _walk_spectrum does and keeps the largest mask per
+    zero count. Over F2 a dual word packs into the same layout, so its zero
+    mask is the complement, and the fiber {b, b ^ h0} takes two XORs and
+    two bit counts. The result does not depend on the order of the dual
+    rows, so they are taken lightest first: h0 then has the fewest root
+    tables, and the odometer's fastest digit adds the sparsest row. The
+    walk covers all q^(n-k) dual words; its callers bound that.
+    """
+    n = code.length
+    field = code.field
+    q = field.q
+    rows = sorted(code.dual.generator.entries, key=lambda row: n - row.count(0))
+    best = [-1] * (n + 1)
+    if q == 2:
+        full = (1 << n) - 1
+        packed_h0 = _pack_bits(rows[0])
+        for b in _binary_span([_pack_bits(row) for row in rows[1:]]):
+            for mask in (full ^ b, full ^ b ^ packed_h0):
+                zeros = mask.bit_count()
+                if mask > best[zeros]:
+                    best[zeros] = mask
+    else:
+        h0 = rows[0]
+        roots = [(j, root, 1 << (n - 1 - j)) for j, root in _fiber_roots(field, h0)]
+        fixed = [(j, 1 << (n - 1 - j)) for j in range(n) if not h0[j]]
+        for b in iterate_span(field, rows[1:], n):
+            masks = [sum(bit for j, bit in fixed if not b[j])] * q
+            for j, root, bit in roots:
+                masks[root[b[j]]] |= bit
+            for mask in masks:
+                zeros = mask.bit_count()
+                if mask > best[zeros]:
+                    best[zeros] = mask
+    # best[n] is the zero word's; a suffix maximum over the rest gives each t.
+    hits = []
+    largest = -1
+    for t in range(n - 1, -1, -1):
+        largest = max(largest, best[t])
+        if largest >= 0:
+            zero_set = [j + 1 for j in range(n) if largest >> (n - 1 - j) & 1]
+            hits.append(tuple(zero_set[:t]))
+    hits.reverse()
+    return hits
+
+
 def _first_of_each_weight(
     field: Field, rows: Sequence[Sequence[int]], n: int, weights: Iterable[int]
 ) -> dict[int, tuple[int, ...]]:
@@ -252,9 +328,7 @@ def _first_of_each_weight(
                 word[x] = add(word[x], mul(c, row[x]))
         nodes += q
         if nodes > MAX_ENUMERATION:
-            raise TooLargeToEnumerateError(
-                f"first-of-weight search exceeds {MAX_ENUMERATION} nodes"
-            )
+            _guard("first-of-weight search, in nodes visited", nodes)
         zeros = [0] * q
         for x, root in fresh[j]:
             zeros[root[word[x]]] += 1
@@ -336,8 +410,7 @@ class LinearCode:
     def codewords(self) -> Iterator[tuple[int, ...]]:
         """All q^k codewords as raw entry tuples, in deterministic order."""
         q, k = self.field.q, self.dimension
-        if q ** k > MAX_ENUMERATION:
-            raise TooLargeToEnumerateError(f"q^k = {q}^{k} codewords exceed {MAX_ENUMERATION}")
+        _guard(f"enumeration of q^k = {q}^{k} codewords", q ** k)
         return iterate_span(self.field, self.generator.entries)
 
     def _free_block(self) -> list[list[int]]:
@@ -398,12 +471,8 @@ class LinearCode:
             counts = _mds_distribution(n, k, q)
             weights = [w for w in range(1, n + 1) if counts[w]]
             return counts, _first_of_each_weight(field, rows, n, weights)
-        if q ** k <= MAX_ENUMERATION:
-            return _walk_spectrum(field, rows, n)
-        raise TooLargeToEnumerateError(
-            f"q^k = {q}^{k} codewords exceed {MAX_ENUMERATION}, "
-            "and the generator fails the GRS test that would prove it MDS"
-        )
+        _guard(f"walk of q^k = {q}^{k} codewords, for a generator that fails the GRS test", q ** k)
+        return _walk_spectrum(field, rows, n)
 
     @property
     def weight_distribution(self) -> tuple[int, ...]:
@@ -520,10 +589,7 @@ def oa_tuple_counts(code: LinearCode, positions: Iterable[int]) -> dict[tuple[in
         if not 1 <= j <= code.length:
             raise IndexOutOfRangeError(f"column {j} outside [1, {code.length}]")
     q = code.field.q
-    if q ** len(cols) > MAX_TUPLE_SPACE:
-        raise TooLargeToEnumerateError(
-            f"q^r = {q}^{len(cols)} value tuples exceed {MAX_TUPLE_SPACE}"
-        )
+    _guard(f"table of q^r = {q}^{len(cols)} value tuples", q ** len(cols), MAX_SPACE)
     return _count_tuples(code.codewords(), q, cols)
 
 

@@ -25,26 +25,22 @@ with its exact q^(n-t-k) size, and the full-recovery attack that sets in at
 strength n - d_dual + 1. Both attacks read everything from one row
 reduction of [G_U | s'], where U is the unknown columns in descending order
 and s' = s - G_K x_K is the broadcast with the known messages removed; the
-list's columns come with the per-index outcome of their own reduction.
-With U descending each pivot depends only on free values at smaller
-indices, so numbering the candidates in base q, smallest free index most
-significant, puts them in lexicographic order without a sort. The list is
-built one coordinate column at a time, each kernel vector turning every
-column into q shifted copies of itself, so the Python-level loop runs over
-column blocks rather than candidates; thm3 checks the order and the two
-ends of each list, and a brute-force filter in the tests checks the whole
-list. The same reduction on a zero observation finds the hidden index of
-every report counterexample; the per-index solves of
-LinearCode.confined_combination stay as the attack's slow route in the
-thm4 suite.
+list's columns come with the per-index outcome of their own reduction,
+and come in lexicographic order without a sort (list_attack). thm3
+checks the order and the two ends of each list, and a brute-force filter
+in the tests checks the whole list. The same reduction on a zero
+observation finds the hidden index of every report counterexample; the
+per-index solves of LinearCode.confined_combination stay as the attack's
+slow route in the thm4 suite.
 
 A report counterexample has one definition at every n: the first
 strength-t known set, in combinations order, that leaves an index hidden.
 Below t = n - k it is {1..t}. The strengths from n - k to the threshold
 are found by the known-set scan while it fits SCAN_BUDGET reductions,
 whose hits come with their hidden index, and by one walk of the dual
-otherwise, and thm1 checks the walk against the scan wherever both fit.
-Each known set is reduced once.
+(code._dual_first_hits) otherwise, and thm1 checks the walk against the
+scan wherever both fit. Each known set is reduced once. Every refusal
+goes through code._guard and names its loop, size and limit.
 """
 
 from __future__ import annotations
@@ -63,20 +59,11 @@ from .algebra import (
     _rref_raw,
     unit_vector,
 )
-from .code import (
-    MAX_ENUMERATION,
-    LinearCode,
-    TooLargeToEnumerateError,
-    _binary_span,
-    _fiber_roots,
-    _pack_bits,
-    iterate_span,
-)
+from .code import MAX_SPACE, LinearCode, _dual_first_hits, _guard, iterate_span
 
+# Budgets on known sets: the rank sweep's length, and the scan's reductions.
 EXHAUSTIVE_SWEEP_LIMIT = 14
 SCAN_BUDGET = 1 << 14
-ORACLE_SPACE_LIMIT = 1 << 20
-LIST_LIMIT = 1 << 20
 
 
 class SecurityError(Exception):
@@ -202,8 +189,8 @@ def conditional_block_entropy(
     q = field.q
     if query.n != n:
         raise DimensionMismatchError(f"query over n={query.n}, code length {code.length}")
-    if q ** n > ORACLE_SPACE_LIMIT:
-        raise TooLargeToEnumerateError(f"q^n = {q}^{n} exceeds {ORACLE_SPACE_LIMIT}")
+    free = sorted(query.block | query.rest)
+    _guard(f"oracle walk of q^(n-t) = {q}^{len(free)} message vectors", q ** len(free), MAX_SPACE)
     if frozenset(known_values) != query.known:
         raise ValueError("known values must cover exactly the query's known set")
     if broadcast.field != field:
@@ -229,7 +216,6 @@ def conditional_block_entropy(
     # iterate_span runs its coefficients in canonical odometer order, so the
     # base-q digits of a step's index, least significant first, are the
     # values of the free messages in ascending index order.
-    free = sorted(query.block | query.rest)
     block_sorted = sorted(query.block)
     block_weights = [q ** free.index(i) for i in block_sorted]
     counts: dict[tuple[int, ...], int] = {}
@@ -258,8 +244,7 @@ def block_security_level(code: LinearCode, strength: int) -> int:
     n = code.length
     if not 0 <= strength <= n - 1:
         raise ValueError(f"strength must be in [0, {n - 1}], got {strength}")
-    if n > EXHAUSTIVE_SWEEP_LIMIT:
-        raise TooLargeToEnumerateError(f"exhaustive sweep refused for n={n} > {EXHAUSTIVE_SWEEP_LIMIT}")
+    _guard("exhaustive rank sweep over n coordinates", n, EXHAUSTIVE_SWEEP_LIMIT)
     universe = range(1, n + 1)
     full = frozenset(universe)
     for b in range(1, n - strength + 1):
@@ -417,10 +402,10 @@ def _candidate_columns(code: LinearCode, view: AdversaryView) -> tuple[list, "At
             f"unknown columns have rank {rank} < k = {k}; adversary strength {t} "
             "exceeds what the exact-size guarantee covers"
         )
-    if q ** (width - rank) > LIST_LIMIT:
-        raise ListTooLargeError(
-            f"candidate list of q^{width - rank} entries exceeds {LIST_LIMIT}"
-        )
+    _guard(
+        f"candidate list of q^(n-t-k) = {q}^{width - rank} entries",
+        q ** (width - rank), MAX_SPACE, error=ListTooLargeError,
+    )
     particular, kernel = _read_solution(field, reduced, pivots, width)
     z = [0] * n
     for i, v in known.items():
@@ -547,17 +532,12 @@ class SecurityReport:
     strengths: tuple[StrengthVerdict, ...]
 
 
-def _hidden_from(code: LinearCode, known: Iterable[int]) -> tuple[int, ...]:
-    """The indices an adversary holding `known` cannot recover, ascending; they
-    do not depend on the observed values, so a zero observation stands in."""
-    zero = Vector.zero(code.field, code.dimension)
-    return _attack(code, dict.fromkeys(known, 0), zero).resisted
-
-
 def _counterexample(code: LinearCode, known: Iterable[int]) -> Optional[RecoveryCounterexample]:
     """The known set with the first index it leaves hidden; None when it
-    leaves none."""
-    hidden = _hidden_from(code, known)
+    leaves none. Which indices stay hidden does not depend on the observed
+    values, so a zero observation stands in."""
+    zero = Vector.zero(code.field, code.dimension)
+    hidden = _attack(code, dict.fromkeys(known, 0), zero).resisted
     return RecoveryCounterexample(frozenset(known), hidden[0]) if hidden else None
 
 
@@ -571,61 +551,6 @@ def _complete_insecurity_exhaustive(
         if found is not None:
             return found
     return None
-
-
-def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
-    """The scan's first hit at every strength t <= n - d_dual, from one walk
-    of the dual; entry t is the known set, ascending.
-
-    A known set K leaves an index hidden exactly when it lies inside the
-    zero set of some nonzero dual codeword h, and the first t-subset of a
-    zero set in combinations order is its first t indices. Written as a
-    bitmask with index 1 as the top bit, a larger zero set has an earlier
-    (or equal) t-prefix, so the first hit at strength t is the top t bits
-    of the largest mask with at least t zeros. The walk runs over fibers
-    b + c*h0 as code._walk_spectrum does and keeps the largest mask per
-    zero count. Over F2 a dual word packs into the same layout, so its zero
-    mask is the complement, and the fiber {b, b ^ h0} takes two XORs and
-    two bit counts. The result does not depend on the order of the dual
-    rows, so they are taken lightest first: h0 then has the fewest root
-    tables, and the odometer's fastest digit adds the sparsest row. The
-    walk covers all q^(n-k) dual words; its callers bound that.
-    """
-    n = code.length
-    field = code.field
-    q = field.q
-    rows = sorted(code.dual.generator.entries, key=lambda row: n - row.count(0))
-    best = [-1] * (n + 1)
-    if q == 2:
-        full = (1 << n) - 1
-        packed_h0 = _pack_bits(rows[0])
-        for b in _binary_span([_pack_bits(row) for row in rows[1:]]):
-            for mask in (full ^ b, full ^ b ^ packed_h0):
-                zeros = mask.bit_count()
-                if mask > best[zeros]:
-                    best[zeros] = mask
-    else:
-        h0 = rows[0]
-        roots = [(j, root, 1 << (n - 1 - j)) for j, root in _fiber_roots(field, h0)]
-        fixed = [(j, 1 << (n - 1 - j)) for j in range(n) if not h0[j]]
-        for b in iterate_span(field, rows[1:], n):
-            masks = [sum(bit for j, bit in fixed if not b[j])] * q
-            for j, root, bit in roots:
-                masks[root[b[j]]] |= bit
-            for mask in masks:
-                zeros = mask.bit_count()
-                if mask > best[zeros]:
-                    best[zeros] = mask
-    # best[n] is the zero word's; a suffix maximum over the rest gives each t.
-    hits = []
-    largest = -1
-    for t in range(n - 1, -1, -1):
-        largest = max(largest, best[t])
-        if largest >= 0:
-            zero_set = [j + 1 for j in range(n) if largest >> (n - 1 - j) & 1]
-            hits.append(tuple(zero_set[:t]))
-    hits.reverse()
-    return hits
 
 
 def _first_counterexamples(
@@ -642,8 +567,9 @@ def _first_counterexamples(
     scan searches it when its sum of C(n, t) known sets fits SCAN_BUDGET
     reductions, and its hits come with their hidden index; every n <= 14
     fits. Otherwise one walk of the q^(n-k) dual words fills it, within
-    MAX_ENUMERATION, and the report is refused when neither fits. Every
-    set the scan did not reduce is reduced once to find its hidden index.
+    the 2^24 codeword budget, and one refusal names both routes when
+    neither fits. Every set the scan did not reduce is reduced once to
+    find its hidden index.
     """
     n, k = code.length, code.dimension
     found = [_counterexample(code, range(1, t + 1)) for t in range(n - k)]
@@ -657,11 +583,8 @@ def _first_counterexamples(
             found.append(hit)
         return found
     q = code.field.q
-    if q ** (n - k) > MAX_ENUMERATION:
-        raise TooLargeToEnumerateError(
-            f"known-set scan of {scan} reductions exceeds {SCAN_BUDGET}, and "
-            f"q^(n-k) = {q}^{n - k} dual codewords exceed {MAX_ENUMERATION}"
-        )
+    scanned = (f"known-set scan over t = {n - k}..{threshold - 1}, in reductions", scan, SCAN_BUDGET)
+    _guard(f"walk of q^(n-k) = {q}^{n - k} dual codewords", q ** (n - k), also=scanned)
     walked = _dual_first_hits(code)[n - k:threshold]
     return found + [_counterexample(code, known) for known in walked]
 
@@ -677,9 +600,8 @@ def security_report(code: LinearCode, *, seed: int = 0) -> SecurityReport:
     first index the attack's row reduction leaves hidden. The mode is a
     label only: "exhaustive" for n <= EXHAUSTIVE_SWEEP_LIMIT, "sampled"
     beyond. Only the searched strengths [n - k, threshold) cost more than
-    one reduction each: the known-set scan finds them within SCAN_BUDGET
-    reductions, one walk of the q^(n-k) dual codewords otherwise, and MDS
-    codes have none. The seed is recorded but changes no verdict.
+    one reduction each (_first_counterexamples), and MDS codes have none.
+    The seed is recorded but changes no verdict.
     """
     n = code.length
     d = code.min_distance

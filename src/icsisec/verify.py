@@ -9,7 +9,8 @@ names thm1 .. thm4 and lemma3):
           over every codeword, and on that walk's weights the pruned
           first-of-weight search, the C(n, k) MDS certificate and the GRS
           test; the dual walk's counterexample known sets against the
-          known-set scan, and per-code distance claims
+          known-set scan (on the corpus, and on a binary [16, 8] probe past
+          the scan's budget), and per-code distance claims
   thm2    orthogonal-array counts in every <= d_dual - 1 column set
   lemma3  algebraic no-information test against brute force: every
           binary instance with n <= 4 and up to 3 receivers, each distinct
@@ -18,16 +19,18 @@ names thm1 .. thm4 and lemma3):
           conditional_block_entropy oracle
   thm3    distance-derived security floors, weight witnesses, list attacks
           with their size, membership, strictly increasing order, and
-          first and last entries consistent with the observation
+          first and last entries consistent with the observation (on the
+          corpus, and on a probe over F17, past the packed byte columns)
   thm4    guaranteed full recovery at strength n - d_dual + 1, with the
           one-reduction attack checked index by index against
           LinearCode.confined_combination
 
 Suites run against a built-in corpus (three named codes plus 50 seeded
-random ones) and stop at the first failing case, so a reported failure is
-the smallest one in a fixed scan order. Extra corpus entries can be
-appended from a file; claim checking in thm1 then doubles as a harness
-self-test, since a corrupted generator entry must surface as a failure.
+random ones; the two probes add no counted case) and stop at the first
+failing case, so a reported failure is the smallest one in a fixed scan
+order. Extra corpus entries can be appended from a file; claim checking
+in thm1 then doubles as a harness self-test, since a corrupted generator
+entry must surface as a failure.
 """
 
 from __future__ import annotations
@@ -43,10 +46,11 @@ from .code import (
     EmptyInputError,
     LinearCode,
     MAX_ENUMERATION,
-    MAX_TUPLE_SPACE,
+    MAX_SPACE,
     MacWilliamsError,
     ZeroCodeError,
     _count_tuples,
+    _dual_first_hits,
     _first_of_each_weight,
     _macwilliams,
     _walk_spectrum,
@@ -67,7 +71,6 @@ from .security import (
     RankDeficientError,
     SecurityQuery,
     _complete_insecurity_exhaustive,
-    _dual_first_hits,
     block_security_level,
     complete_insecurity_attack,
     conditional_block_entropy,
@@ -248,15 +251,15 @@ def _spectrum_mismatch(code: LinearCode) -> Optional[dict]:
     return None
 
 
-def _first_hit_mismatch(code: LinearCode) -> Optional[dict]:
+def _first_hit_mismatch(code: LinearCode, budget: float = SCAN_BUDGET) -> Optional[dict]:
     """Where the dual fits the enumeration guard and the searched strengths
-    fit the known-set scan's budget, check the dual walk's first hit
-    against the scan at every strength below n - d_dual + 1. Returns the
-    first disagreement, or None."""
+    fit `budget` known sets, check the dual walk's first hit against the
+    scan at every strength below n - d_dual + 1. Returns the first
+    disagreement, or None."""
     n, k, q = code.length, code.dimension, code.field.q
     threshold = n - code.dual_distance + 1
     scan = sum(math.comb(n, t) for t in range(n - k, threshold))
-    if k == n or q ** (n - k) > MAX_ENUMERATION or scan > SCAN_BUDGET:
+    if k == n or q ** (n - k) > MAX_ENUMERATION or scan > budget:
         return None
     walked = _dual_first_hits(code)
     for t in range(threshold):
@@ -301,6 +304,13 @@ def _suite_singleton(seed: int, corpus: tuple[CorpusEntry, ...]) -> SuiteResult:
                     "code": entry.name, "check": "claim", "parameter": key,
                     "claimed": claimed, "measured": measured[key],
                 })
+    # Route probe, no counted case: a binary [16, 8] code with d_dual = 3 has 39,066 known sets
+    # to search, past SCAN_BUDGET, so its report walks the dual; here it meets an unbudgeted scan.
+    rng = Rng(8)
+    rows = tuple(tuple(rng.below(2) for _ in range(16)) for _ in range(8))
+    mismatch = _first_hit_mismatch(LinearCode(Matrix(Field(2), rows)), budget=math.inf)
+    if mismatch is not None:
+        return _done("thm1", cases, {"code": "rand16_8_f2", "check": "first_hit", **mismatch})
     return _done("thm1", cases, None)
 
 
@@ -313,7 +323,7 @@ def _suite_orthogonal_array(seed: int, corpus: tuple[CorpusEntry, ...]) -> Suite
         # One walk per code fills every column subset's table.
         words = tuple(code.codewords()) if strength else ()
         for r in range(1, strength + 1):
-            if q ** r > MAX_TUPLE_SPACE:
+            if q ** r > MAX_SPACE:
                 break
             expected = q ** (k - r)
             for positions in itertools.combinations(range(1, n + 1), r):
@@ -534,48 +544,50 @@ def _suite_security_thresholds(seed: int, corpus: tuple[CorpusEntry, ...]) -> Su
     for _ in range(200):
         entry = corpus[rng.below(len(corpus))]
         code = entry.code
-        n, k = code.length, code.dimension
-        field = code.field
-        q = field.q
         t = rng.below(code.min_distance)
-        known = rng.subset(tuple(range(1, n + 1)), t)
-        x = tuple(rng.below(q) for _ in range(n))
-        s = _broadcast(code, x)
-        view = AdversaryView.of({i: x[i - 1] for i in known}, s)
+        known = rng.subset(tuple(range(1, code.length + 1)), t)
+        x = tuple(rng.below(code.field.q) for _ in range(code.length))
         cases += 1
-        try:
-            candidates = list_attack(code, view)
-        except (RankDeficientError, ListTooLargeError) as exc:
-            return _done("thm3", cases, {
-                "code": entry.name, "check": "list_attack_refused", "t": t,
-                "known": sorted(known), "error": type(exc).__name__,
-            })
-        # list_attack orders its candidates without a sort, so the order is
-        # checked here; it costs one comparison per candidate.
-        if any(a.entries >= b.entries for a, b in zip(candidates, candidates[1:])):
-            return _done("thm3", cases, {
-                "code": entry.name, "check": "list_order", "t": t,
-                "known": sorted(known), "x": list(x),
-            })
-        # The ends of the list are checked against the observation through
-        # the generator product, which the column construction never uses;
-        # a pass over every candidate would more than double the suite's time.
-        for end in (candidates[0], candidates[-1]):
-            z = end.entries
-            if any(z[i - 1] != x[i - 1] for i in known) or _broadcast(code, z) != s:
-                return _done("thm3", cases, {
-                    "code": entry.name, "check": "list_end", "t": t,
-                    "known": sorted(known), "x": list(x), "candidate": list(z),
-                })
-        expected = q ** (n - t - k)
-        if len(candidates) != expected or Vector(field, x) not in candidates:
-            return _done("thm3", cases, {
-                "code": entry.name, "check": "list_attack", "t": t,
-                "known": sorted(known), "x": list(x),
-                "list_size": len(candidates), "expected_size": expected,
-                "contains_x": Vector(field, x) in candidates,
-            })
+        failure = _list_mismatch(code, known, x)
+        if failure is not None:
+            return _done("thm3", cases, {"code": entry.name, **failure})
+    # Route probe, no counted case: past q = 16 the list is built in list
+    # columns, a branch no corpus field reaches; 17 candidates at t = n - k - 1.
+    failure = _list_mismatch(reed_solomon_code(6, 3, Field(17)), (1, 2), (3, 14, 1, 5, 9, 16))
+    if failure is not None:
+        return _done("thm3", cases, {"code": "rs6_3_f17", **failure})
     return _done("thm3", cases, None)
+
+
+def _list_mismatch(code: LinearCode, known, x: tuple[int, ...]) -> Optional[dict]:
+    """Check the list attack of an adversary holding `known` against the
+    observation of x: its order, its two ends, its size q^(n-t-k) and that
+    it holds x. Returns the first failing check, or None."""
+    field = code.field
+    s = _broadcast(code, x)
+    facts = {"t": len(known), "known": sorted(known), "x": list(x)}
+    try:
+        candidates = list_attack(code, AdversaryView.of({i: x[i - 1] for i in known}, s))
+    except (RankDeficientError, ListTooLargeError) as exc:
+        return {"check": "list_attack_refused", **facts, "error": type(exc).__name__}
+    # list_attack orders its candidates without a sort, so the order is
+    # checked here; it costs one comparison per candidate.
+    if any(a.entries >= b.entries for a, b in zip(candidates, candidates[1:])):
+        return {"check": "list_order", **facts}
+    # The ends of the list are checked against the observation through
+    # the generator product, which the column construction never uses;
+    # a pass over every candidate would more than double the suite's time.
+    for end in (candidates[0], candidates[-1]):
+        z = end.entries
+        if any(z[i - 1] != x[i - 1] for i in known) or _broadcast(code, z) != s:
+            return {"check": "list_end", **facts, "candidate": list(z)}
+    expected = field.q ** (code.length - len(known) - code.dimension)
+    if len(candidates) != expected or Vector(field, x) not in candidates:
+        return {
+            "check": "list_attack", **facts, "list_size": len(candidates),
+            "expected_size": expected, "contains_x": Vector(field, x) in candidates,
+        }
+    return None
 
 
 def _attack_route_mismatch(

@@ -19,17 +19,18 @@ from icsisec.code import (
     EmptyInputError,
     FieldTooSmallError,
     LinearCode,
-    MAX_TUPLE_SPACE,
+    MAX_SPACE,
     MacWilliamsError,
     TooLargeToEnumerateError,
     ZeroCodeError,
+    _dual_first_hits,
     _macwilliams,
     iterate_span,
     oa_tuple_counts,
     reed_solomon_code,
 )
 from icsisec.rng import Rng
-from icsisec.security import _dual_first_hits, security_report
+from icsisec.security import security_report
 
 F2 = Field(2)
 F3 = Field(3)
@@ -583,7 +584,7 @@ class TestOrthogonalArray:
     def test_tuple_space_guard(self):
         big = Field(8191)
         code = LinearCode(Matrix(big, ((1, 0, 1, 1), (0, 1, 1, 0))))
-        assert big.q ** 2 > MAX_TUPLE_SPACE
+        assert big.q ** 2 > MAX_SPACE
         with pytest.raises(TooLargeToEnumerateError):
             oa_tuple_counts(code, (1, 2))
 

@@ -158,6 +158,20 @@ class TestOracle:
             conditional_block_entropy(code=wide, query=query, known_values={},
                                       broadcast=Vector(F2, (0,)))
 
+    @pytest.mark.parametrize("block", [{6, 7}, set(range(6, 22))], ids=["hidden", "leaks"])
+    def test_guard_measures_the_free_columns(self, block):
+        # n = 21 with t = 5 known: the walk runs over 2^16 message vectors,
+        # within the 2^20 budget although 2^21 is not.
+        rng = Rng(21)
+        code = LinearCode(Matrix(F2, tuple(tuple(rng.below(2) for _ in range(21)) for _ in range(6))))
+        x = tuple(rng.below(2) for _ in range(21))
+        query = SecurityQuery(21, frozenset(range(1, 6)), frozenset(block))
+        entropy = conditional_block_entropy(
+            code, query, {i: x[i - 1] for i in range(1, 6)}, broadcast_of(code, x)
+        )
+        assert sum(entropy.counts.values()) == 2 ** (16 - code.dimension)
+        assert entropy.uniform == has_no_information(code, query) == (len(block) == 2)
+
     def test_agrees_with_rank_route_on_small_code(self):
         code = LinearCode(Matrix(F3, ((1, 0, 2, 1), (0, 1, 1, 1))))
         n = 4
