@@ -21,14 +21,17 @@ Instance document shape:
 Report documents carry a SecurityReport plus the generator matrix;
 dumps_report fixes the byte-level form (stable key order, two-space
 indent, trailing newline) that golden files and the determinism contract
-rely on.
+rely on. It writes that fixed layout directly, since json.dumps with an
+indent runs the pure-Python encoder; report_to_dict is the same document
+as plain data, and json.dumps(report_to_dict(...), indent=2) + "\n" is
+the reference the writer is tested against.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .algebra import AlgebraError, Field, Vector
 from .code import LinearCode
@@ -42,6 +45,7 @@ from .icsi import (
 from .security import (
     RecoveryCounterexample,
     SecurityReport,
+    StrengthVerdict,
     WeakSecurityWitness,
 )
 
@@ -248,7 +252,87 @@ def report_to_dict(report: SecurityReport, code: LinearCode) -> dict:
     }
 
 
+def _json_list(items: Iterable[str], pad: str) -> str:
+    """Rendered items as json.dumps(indent=2) lays out a list whose
+    opening line is indented by `pad`."""
+    inner = "\n" + pad + "  "
+    body = ("," + inner).join(items)
+    return "[" + inner + body + "\n" + pad + "]" if body else "[]"
+
+
+def _ints(values: Iterable[int], pad: str) -> str:
+    return _json_list(map(str, values), pad)
+
+
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _witness_json(witness: Optional[WeakSecurityWitness]) -> str:
+    if witness is None:
+        return "null"
+    pad = "        "
+    return (
+        "{\n"
+        f'{pad}"known": {_ints(sorted(witness.known), pad)},\n'
+        f'{pad}"exposed": {witness.exposed},\n'
+        f'{pad}"combination": {_ints(witness.combination.entries, pad)},\n'
+        f'{pad}"coefficients": {_ints(witness.coefficients.entries, pad)}\n'
+        "      }"
+    )
+
+
+def _strength_json(v: StrengthVerdict) -> str:
+    cex = v.complete_counterexample
+    counterexample = "null"
+    if cex is not None:
+        counterexample = (
+            "{\n"
+            f'        "known": {_ints(sorted(cex.known), "        ")},\n'
+            f'        "resisted": {cex.resisted}\n'
+            "      }"
+        )
+    return (
+        "{\n"
+        f'      "t": {v.strength},\n'
+        f'      "guaranteed_block_level": {v.guaranteed_block_level},\n'
+        f'      "measured_block_level": {v.measured_block_level},\n'
+        f'      "weakly_secure": {_bool(v.weakly_secure)},\n'
+        f'      "weak_witness": {_witness_json(v.weak_witness)},\n'
+        f'      "completely_insecure": {_bool(v.completely_insecure)},\n'
+        f'      "counterexample": {counterexample}\n'
+        "    }"
+    )
+
+
 def dumps_report(report: SecurityReport, code: LinearCode) -> str:
     """The canonical byte form of a report: stable key order, two-space
-    indent, trailing newline."""
-    return json.dumps(report_to_dict(report, code), indent=2) + "\n"
+    indent, trailing newline. The text is written straight from the
+    report, with json.dumps only for its two strings; it equals
+    json.dumps(report_to_dict(report, code), indent=2) + "\n", the
+    reference the tests hold it to."""
+    field = code.field
+    poly = "null" if field.poly is None else _ints(field.poly, "    ")
+    generator = _json_list((_ints(row, "    ") for row in code.generator.entries), "  ")
+    strengths = _json_list(map(_strength_json, report.strengths), "  ")
+    return (
+        "{\n"
+        f'  "tool_version": {json.dumps(TOOL_VERSION)},\n'
+        f'  "seed": {report.seed},\n'
+        f'  "mode": {json.dumps(report.mode)},\n'
+        '  "field": {\n'
+        f'    "p": {field.p},\n'
+        f'    "m": {field.m},\n'
+        f'    "poly": {poly}\n'
+        "  },\n"
+        '  "code": {\n'
+        f'    "n": {report.length},\n'
+        f'    "k": {report.dimension},\n'
+        f'    "d": {report.min_distance},\n'
+        f'    "d_dual": {report.dual_distance}\n'
+        "  },\n"
+        f'  "insecure_from": {report.insecurity_threshold},\n'
+        f'  "generator": {generator},\n'
+        f'  "strengths": {strengths}\n'
+        "}\n"
+    )

@@ -29,9 +29,9 @@ list's columns come with the per-index outcome of their own reduction,
 and come in lexicographic order without a sort (list_attack). thm3
 checks the order and the two ends of each list, and a brute-force filter
 in the tests checks the whole list. The same reduction on a zero
-observation finds the hidden index of every report counterexample; the
-per-index solves of LinearCode.confined_combination stay as the attack's
-slow route in the thm4 suite.
+observation finds the hidden index of each known set the report's scan
+tries; the per-index solves of LinearCode.confined_combination stay as
+the attack's slow route in the thm4 suite.
 
 A report counterexample has one definition at every n: the first
 strength-t known set, in combinations order, that leaves an index hidden.
@@ -39,8 +39,12 @@ Below t = n - k it is {1..t}. The strengths from n - k to the threshold
 are found by the known-set scan while it fits SCAN_BUDGET reductions,
 whose hits come with their hidden index, and by one walk of the dual
 (code._dual_first_hits) otherwise, and thm1 checks the walk against the
-scan wherever both fit. Each known set is reduced once. Every refusal
-goes through code._guard and names its loop, size and limit.
+scan wherever both fit. A report makes one reduction outside the scan:
+the one with nothing known, whose pivots are the right-greedy basis of
+the column matroid. The hidden index of each prefix {1..t} and of each
+walked set follows from that basis by duality (_first_counterexamples),
+and thm1 checks it against the scan's reductions. Every refusal goes
+through code._guard and names its loop, size and limit.
 """
 
 from __future__ import annotations
@@ -553,6 +557,26 @@ def _complete_insecurity_exhaustive(
     return None
 
 
+def _right_basis(code: LinearCode) -> frozenset[int]:
+    """The right-greedy basis B_R of the column matroid: the pivots of the
+    one reduction with nothing known and the columns in descending order.
+    Index j is in B_R exactly when column j is not in the span of the
+    columns after it."""
+    zero = Vector.zero(code.field, code.dimension)
+    unknown, _, pivots = _reduce_unknowns(code, {}, zero)
+    return frozenset(unknown[p] for p in pivots)
+
+
+def _first_hidden(known: frozenset[int], right_basis: frozenset[int], n: int) -> Optional[int]:
+    """The first index a prefix known set {1..t}, or a known set taken from
+    the first t zeros of a dual codeword, leaves hidden; None when the
+    closed form finds none (see _first_counterexamples)."""
+    t = len(known)
+    if max(known, default=0) == t:
+        return next((i for i in range(t + 1, n + 1) if i not in right_basis), None)
+    return next(i for i in range(1, n + 1) if i not in known)
+
+
 def _first_counterexamples(
     code: LinearCode, threshold: int
 ) -> list[Optional[RecoveryCounterexample]]:
@@ -568,11 +592,34 @@ def _first_counterexamples(
     reductions, and its hits come with their hidden index; every n <= 14
     fits. Otherwise one walk of the q^(n-k) dual words fills it, within
     the 2^24 codeword budget, and one refusal names both routes when
-    neither fits. Every set the scan did not reduce is reduced once to
-    find its hidden index.
+    neither fits.
+
+    Every other hidden index is read, by duality, from one reduction: the
+    one with nothing known, whose pivots are the right-greedy basis B_R.
+    An index i outside K is hidden exactly when some dual codeword h
+    vanishes on K and has h_i != 0 (a kernel vector of G_U that moves x_i;
+    Oxley, ch. 2). The dual's words that vanish on {1..j-1} and not at j
+    exist exactly for j outside B_R: such an h is a dependency of column j
+    on the columns after it. So the pivots of the dual generator in RREF,
+    the first nonzero positions of its words, are the complement of B_R.
+    - For K = {1..t}, every hidden i > t has such a word, whose first
+      nonzero position j, with t < j <= i, is hidden too. So the first
+      hidden index is min{i > t : i not in B_R}.
+    - For any other walked K, the first t zeros of a dual word h, the
+      first index f outside K lies before max(K). A zero of h there would
+      be among its first t zeros, so h_f != 0, and f = min(E - K) is
+      hidden.
+    Where this finds no index the entry stays None.
     """
     n, k = code.length, code.dimension
-    found = [_counterexample(code, range(1, t + 1)) for t in range(n - k)]
+    right_basis = _right_basis(code)
+
+    def closed_form(known: Iterable[int]) -> Optional[RecoveryCounterexample]:
+        known = frozenset(known)
+        hidden = _first_hidden(known, right_basis, n)
+        return None if hidden is None else RecoveryCounterexample(known, hidden)
+
+    found = [closed_form(range(1, t + 1)) for t in range(n - k)]
     searched = range(n - k, threshold)
     scan = sum(math.comb(n, t) for t in searched)
     if scan <= SCAN_BUDGET:
@@ -586,7 +633,7 @@ def _first_counterexamples(
     scanned = (f"known-set scan over t = {n - k}..{threshold - 1}, in reductions", scan, SCAN_BUDGET)
     _guard(f"walk of q^(n-k) = {q}^{n - k} dual codewords", q ** (n - k), also=scanned)
     walked = _dual_first_hits(code)[n - k:threshold]
-    return found + [_counterexample(code, known) for known in walked]
+    return found + [closed_form(known) for known in walked]
 
 
 def security_report(code: LinearCode, *, seed: int = 0) -> SecurityReport:
@@ -597,10 +644,10 @@ def security_report(code: LinearCode, *, seed: int = 0) -> SecurityReport:
     insecurity holds exactly from t = n - d_dual + 1. Below that threshold
     each strength carries a counterexample: the first strength-t known
     set, in combinations order, that leaves an index hidden, with the
-    first index the attack's row reduction leaves hidden. The mode is a
-    label only: "exhaustive" for n <= EXHAUSTIVE_SWEEP_LIMIT, "sampled"
-    beyond. Only the searched strengths [n - k, threshold) cost more than
-    one reduction each (_first_counterexamples), and MDS codes have none.
+    first index it leaves hidden. The mode is a label only: "exhaustive"
+    for n <= EXHAUSTIVE_SWEEP_LIMIT, "sampled" beyond. Past one reduction,
+    only the searched strengths [n - k, threshold) cost anything
+    (_first_counterexamples), and MDS codes have none.
     The seed is recorded but changes no verdict.
     """
     n = code.length

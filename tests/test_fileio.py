@@ -8,9 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from icsisec.algebra import Field, Matrix, Vector
-from icsisec.code import LinearCode, reed_solomon_code
+from icsisec.code import LinearCode, ZeroCodeError, reed_solomon_code
 from icsisec.fileio import (
     TOOL_VERSION,
     dumps_report,
@@ -269,3 +270,43 @@ class TestReportDigests:
     def test_sampled_binary_report_bytes_are_pinned_without_asserts(self):
         for seed, n, k, digest in BINARY_REPORT_DIGESTS.values():
             assert run_optimized(SAMPLED_DIGEST_SCRIPT, seeded_binary_rows(seed, n, k)) == digest
+
+
+WRITER_FIELDS = (Field(2), Field(3), Field(5), Field(2, 2), Field(2, 3), Field(3, 2))
+
+
+@st.composite
+def report_codes(draw):
+    """Codes whose reports exercise every branch of the layout: short codes
+    over prime and extension fields, Reed-Solomon (MDS) codes, and binary
+    codes past n = 14, labelled sampled. Sparse rows give weight-1
+    codewords, whose witnesses know nothing, and k = n is allowed."""
+    kind = draw(st.sampled_from(("short", "rs", "long")))
+    if kind == "rs":
+        field = draw(st.sampled_from(WRITER_FIELDS[2:]))
+        n = draw(st.integers(2, field.q))
+        return reed_solomon_code(n, draw(st.integers(1, n)), field)
+    field = Field(2) if kind == "long" else draw(st.sampled_from(WRITER_FIELDS))
+    n = draw(st.integers(15, 17) if kind == "long" else st.integers(1, 7))
+    k = draw(st.integers(1, n))
+    entry = st.one_of(st.just(0), st.integers(0, field.q - 1))
+    try:
+        return LinearCode(Matrix(field, draw(st.tuples(*[st.tuples(*[entry] * n)] * k))))
+    except ZeroCodeError:
+        return LinearCode(Matrix(field, (tuple([1] * n),)))
+
+
+class TestReportWriter:
+    """dumps_report writes the layout directly; json.dumps of report_to_dict
+    is its reference."""
+
+    @settings(deadline=None, derandomize=True, max_examples=120)
+    @given(report_codes(), st.integers(0, 2**32))
+    @example(LinearCode(Matrix(Field(2), ((1, 0, 1), (0, 1, 1)))), 0)
+    @example(reed_solomon_code(8, 4, Field(3, 2, (1, 0, 1))), 5)
+    @example(LinearCode(Matrix(Field(2, 3), ((1, 0, 0), (0, 1, 0), (0, 0, 7)))), 1)
+    @example(LinearCode(Matrix(Field(2), seeded_binary_rows(1, 16, 8))), 7)
+    def test_writer_equals_reference(self, code, seed):
+        report = security_report(code, seed=seed)
+        reference = json.dumps(report_to_dict(report, code), indent=2) + "\n"
+        assert dumps_report(report, code) == reference

@@ -479,8 +479,9 @@ class TestSecurityReport:
         assert cex is not None and cex.known == frozenset()
 
     def test_scan_hits_are_reduced_once(self, monkeypatch):
-        # hamming7: t = 0, 1, 2 confirm {1..t}, and the t = 3 scan's first
-        # set is its hit, whose hidden index the report reuses.
+        # hamming7: the one reduction with nothing known gives the basis
+        # that t = 0, 1, 2 read their hidden index from, and the t = 3
+        # scan's first set is its hit, whose hidden index the report reuses.
         calls = []
         original = security_module._reduce_unknowns
 
@@ -490,7 +491,7 @@ class TestSecurityReport:
 
         monkeypatch.setattr(security_module, "_reduce_unknowns", counted)
         report = security_report(hamming())
-        assert calls == [[], [1], [1, 2], [1, 2, 3]]
+        assert calls == [[], [1, 2, 3]]
         assert report.strengths[3].complete_counterexample == RecoveryCounterexample(
             known=frozenset({1, 2, 3}), resisted=4
         )
@@ -690,6 +691,45 @@ class TestOneCounterexampleDefinition:
             assume(False)
         assume(code.dimension < code.length)
         self.check_walk(code)
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(walk_codes())
+    def test_report_counterexamples_equal_scan_on_both_routes(self, drawn):
+        # The hidden indices the report reads from one reduction, on the
+        # scan's route and (SCAN_BUDGET 0) on the walk's, against the scan's
+        # own reductions at every strength below the threshold.
+        field, rows = drawn
+        try:
+            code = LinearCode(Matrix(field, rows))
+        except ZeroCodeError:
+            assume(False)
+        assume(code.dimension < code.length)
+        threshold = code.length - code.dual_distance + 1
+        expected = [security_module._complete_insecurity_exhaustive(code, t) for t in range(threshold)]
+        for budget in (security_module.SCAN_BUDGET, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(security_module, "SCAN_BUDGET", budget)
+                report = security_report(code)
+            got = [v.complete_counterexample for v in report.strengths[:threshold]]
+            assert got == expected, budget
+
+    def test_walked_report_makes_one_reduction(self, monkeypatch):
+        # A binary [24, 12] code is past the scan's budget, so its searched
+        # strengths come from the walk of the dual, and every hidden index
+        # from the one reduction with nothing known.
+        rng = Rng(0)
+        code = LinearCode(Matrix(F2, tuple(
+            tuple(rng.below(2) for _ in range(24)) for _ in range(12)
+        )))
+        assert code.dimension == 12
+        calls = []
+        original = security_module._reduce_unknowns
+        monkeypatch.setattr(
+            security_module, "_reduce_unknowns", lambda *args: calls.append(1) or original(*args)
+        )
+        report = security_report(code)
+        assert report.mode == "sampled" and report.insecurity_threshold == 21
+        assert len(calls) == 1
 
 
 class TestTheoremViolation:
