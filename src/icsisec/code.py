@@ -9,8 +9,9 @@ fixed order:
           closed form, and a pruned search in codeword order finds the
           first codeword of each weight
   walk    one walk over the q^k codewords, in q^(k-1) fibers of q words,
-          when q^k is within the 2^24 budget; over F2 (_binary_span) a
-          step is one XOR and a weight one bit count
+          when q^k is within the 2^24 budget; over F2 (_binary_blocks)
+          in blocks of 2^12 packed words, each one comprehension of
+          XORs whose weights are counted in C
   refuse  otherwise, however small the dual is
 
 The dual distance always comes from the code's spectrum through the
@@ -18,7 +19,8 @@ MacWilliams identity, in exact integer arithmetic; the dual code itself
 (a nullspace basis) is built only where a dual codeword is needed or
 where the transform is cross-checked. The walk of the dual,
 _dual_first_hits, lives next to the code's and gives the security report
-its counterexample known sets past the known-set scan's budget.
+its counterexample known sets past the known-set scan's budget; it stops
+at the first complete stage that holds a word of weight d_dual.
 
 Every exponential loop of the package is checked by the one helper
 _guard against its budget: MAX_ENUMERATION (2^24) for codewords and
@@ -53,6 +55,8 @@ from .algebra import (
 
 MAX_ENUMERATION = 1 << 24
 MAX_SPACE = 1 << 20
+# The packed F2 walks take the span of this many rows as one list, 2^12 ints.
+BLOCK_ROWS = 12
 
 
 class CodeError(Exception):
@@ -162,6 +166,31 @@ def _binary_span(rows: Sequence[int]) -> Iterator[int]:
         yield word
 
 
+def _binary_blocks(rows: Sequence[int], staged: bool = False) -> Iterator[list[int]]:
+    """The words of _binary_span(rows), in its order, as consecutive lists:
+    the span of the first L = min(k, BLOCK_ROWS) rows, a low block of 2^L
+    words built by doubling, then the low block XORed with each further
+    word of _binary_span(rows[L:]). A block is one comprehension, and its
+    weights can be counted in C. When `staged`, the low block comes as
+    [0] and then, for each of its rows r, the words w ^ r for w in
+    everything before (words 2^m..2^(m+1) - 1 for row m), each list
+    built only when it is drawn."""
+    low = [0]
+    if staged:
+        yield low[:]
+    for row in rows[:BLOCK_ROWS]:
+        added = [w ^ row for w in low]
+        if staged:
+            yield added
+        low += added
+    if not staged:
+        yield low
+    high = _binary_span(rows[BLOCK_ROWS:])
+    next(high)
+    for hi in high:
+        yield [hi ^ lo for lo in low]
+
+
 def _fiber_roots(field: Field, r0: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     """(j, root) for each coordinate j with r0[j] != 0, where root[v] =
     -v / r0[j]: the fiber word b + c*r0 vanishes at j exactly for
@@ -193,15 +222,21 @@ def _walk_spectrum(
     counts = [0] * (n + 1)
     firsts: dict[int, tuple[int, ...]] = {}
     if q == 2:
-        # Over F2 each fiber is {b, b ^ r0} as _pack_bits ints, and a
-        # weight is one bit count.
-        packed_r0 = _pack_bits(rows[0])
-        for b in _binary_span([_pack_bits(row) for row in rows[1:]]):
-            for word in (b, b ^ packed_r0):
-                w = word.bit_count()
-                if not counts[w] and w:
-                    firsts[w] = tuple(map(int, f"{word:0{n}b}"))
-                counts[w] += 1
+        # Over F2 the words come as _pack_bits ints in blocks, whose
+        # weights are counted in C; a weight new to the walk takes the
+        # block's first word of that weight, in the order they occur.
+        for block in _binary_blocks([_pack_bits(row) for row in rows]):
+            if n < 256:
+                weights = bytes(map(int.bit_count, block))
+                tally = [(w, weights.count(w)) for w in range(n + 1)]
+            else:
+                weights = list(map(int.bit_count, block))
+                tally = Counter(weights).items()
+            new = sorted((weights.index(w), w) for w, c in tally if c and w and not counts[w])
+            for i, w in new:
+                firsts[w] = tuple(map(int, f"{block[i]:0{n}b}"))
+            for w, c in tally:
+                counts[w] += c
         return tuple(counts), firsts
     r0 = rows[0]
     add, mul = field.add, field.mul
@@ -221,40 +256,68 @@ def _walk_spectrum(
 
 def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
     """The scan's first hit at every strength t <= n - d_dual, from one walk
-    of the dual; entry t is the known set, ascending.
+    of the dual, stopped early; entry t is the known set, ascending.
 
     A known set K leaves an index hidden exactly when it lies inside the
-    zero set of some nonzero dual codeword h, and the first t-subset of a
-    zero set in combinations order is its first t indices. Written as a
-    bitmask with index 1 as the top bit, a larger zero set has an earlier
-    (or equal) t-prefix, so the first hit at strength t is the top t bits
-    of the largest mask with at least t zeros. The walk runs over fibers
-    b + c*h0 as _walk_spectrum does and keeps the largest mask per
-    zero count. Over F2 a dual word packs into the same layout, so its zero
-    mask is the complement, and the fiber {b, b ^ h0} takes two XORs and
-    two bit counts. The result does not depend on the order of the dual
-    rows, so they are taken lightest first: h0 then has the fewest root
-    tables, and the odometer's fastest digit adds the sparsest row. The
-    walk covers all q^(n-k) dual words; its callers bound that.
+    zero set of some nonzero dual codeword h (Oxley, Matroid Theory,
+    ch. 2), and the first t-subset of a zero set in combinations order is
+    its first t indices. Written as a bitmask with index 1 as the top bit,
+    a larger zero set has an earlier (or equal) t-prefix, so the first hit
+    at strength t is the top t bits of the largest mask with at least t
+    zeros. The walk keeps the largest mask per zero count.
+
+    The dual rows are taken in reversed RREF order, S_0 the last row, so
+    in iterate_span's order the words q^m .. q^(m+1) - 1, stage m, are
+    those with a nonzero coefficient on S_m and none on a later S: their
+    first nonzero position is the pivot p_m of S_m, and p_0 > p_1 > ....
+    A word of stage m and one of a later stage m' are both zero before
+    p_m', where the later one is nonzero and the stage-m one is zero; so
+    every mask of stage m exceeds every mask of a later stage. Once a
+    stage is complete, each t answered so far has its final answer, and
+    every t <= n - d_dual is answered once a word of weight d_dual has
+    come. The walk stops after the first complete stage that holds one,
+    d_dual read from code.dual_distance, and never walks more than the
+    q^(n-k) dual words; its callers bound that.
+
+    Over F2 a dual word packs into the same layout, so its zero mask is
+    the complement and the largest mask is the smallest word. The words
+    come in _binary_blocks' staged lists: stage m is the list of row m
+    for m < L = min(n - k, BLOCK_ROWS), and stage m >= L the blocks of
+    the high words h = 2^(m-L) .. 2^(m-L+1) - 1 of _binary_span(rows[L:]),
+    so it ends with the block of an h where h + 1 is a power of 2. Each
+    list gives only its frontier: its
+    smallest word, then the smallest of lower weight, and so on. Over
+    larger fields the walk runs over fibers b + c*S_0 as _walk_spectrum
+    does, b walking the span of S_1.., and a stage ends after the fibers
+    of the first q^m values of b, for each m.
     """
     n = code.length
     field = code.field
     q = field.q
-    rows = sorted(code.dual.generator.entries, key=lambda row: n - row.count(0))
+    rows = code.dual.generator.entries[::-1]
+    stop = n - code.dual_distance
     best = [-1] * (n + 1)
     if q == 2:
         full = (1 << n) - 1
-        packed_h0 = _pack_bits(rows[0])
-        for b in _binary_span([_pack_bits(row) for row in rows[1:]]):
-            for mask in (full ^ b, full ^ b ^ packed_h0):
-                zeros = mask.bit_count()
-                if mask > best[zeros]:
-                    best[zeros] = mask
+        blocks = _binary_blocks([_pack_bits(row) for row in rows], staged=True)
+        next(blocks)  # The zero word.
+        # high <= 0 for the low block's lists, else the high word's index.
+        for high, words in enumerate(blocks, 1 - min(len(rows), BLOCK_ROWS)):
+            while words:
+                word = min(words)
+                w = word.bit_count()
+                mask = full ^ word
+                if mask > best[n - w]:
+                    best[n - w] = mask
+                words = [x for x in words if x.bit_count() < w]
+            if (high <= 0 or not high & (high + 1)) and best[stop] >= 0:
+                break
     else:
         h0 = rows[0]
         roots = [(j, root, 1 << (n - 1 - j)) for j, root in _fiber_roots(field, h0)]
         fixed = [(j, 1 << (n - 1 - j)) for j in range(n) if not h0[j]]
-        for b in iterate_span(field, rows[1:], n):
+        stage_end = 1
+        for walked, b in enumerate(iterate_span(field, rows[1:], n), 1):
             masks = [sum(bit for j, bit in fixed if not b[j])] * q
             for j, root, bit in roots:
                 masks[root[b[j]]] |= bit
@@ -262,7 +325,12 @@ def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
                 zeros = mask.bit_count()
                 if mask > best[zeros]:
                     best[zeros] = mask
-    # best[n] is the zero word's; a suffix maximum over the rest gives each t.
+            if walked == stage_end:
+                if best[stop] >= 0:
+                    break
+                stage_end *= q
+    # best[n] can only be the zero word's; a suffix maximum over the rest
+    # gives each t.
     hits = []
     largest = -1
     for t in range(n - 1, -1, -1):

@@ -61,7 +61,6 @@ from .algebra import (
     Vector,
     _read_solution,
     _rref_raw,
-    unit_vector,
 )
 from .code import MAX_SPACE, LinearCode, _dual_first_hits, _guard, iterate_span
 
@@ -296,17 +295,21 @@ def weak_security_witness(code: LinearCode, strength: int) -> Optional[WeakSecur
     support = [j + 1 for j, v in enumerate(cw) if v]
     exposed = support[-1]
     scale = field.inv(cw[exposed - 1])
-    normalized = tuple(field.mul(scale, v) for v in cw)
+    normalized = cw if scale == 1 else tuple(field.mul(scale, v) for v in cw)
     # The generator is in reduced row echelon form, so a codeword is the
     # combination of the rows given by its values at the pivot columns.
-    coefficients = Vector(field, tuple(normalized[p - 1] for p in code.pivot_columns))
+    # The codeword's entries and their field products are canonical, so
+    # the vectors skip the entry checks.
+    coefficients = Vector._raw(field, tuple(normalized[p - 1] for p in code.pivot_columns))
     if code.generator.left_times(coefficients).entries != normalized:
         raise TheoremViolationError(f"weight-{strength + 1} witness is not a codeword")
-    u = Vector(field, normalized) - unit_vector(exposed, n, field)
+    # normalized is 1 at the exposed index; the combination is the rest.
+    combination = list(normalized)
+    combination[exposed - 1] = 0
     return WeakSecurityWitness(
         known=frozenset(support[:-1]),
         exposed=exposed,
-        combination=u,
+        combination=Vector._raw(field, tuple(combination)),
         coefficients=coefficients,
     )
 

@@ -113,7 +113,10 @@ def test_walk_layout_and_budgets_stay_in_code():
     code.py, where the walks live, and by verify.py, which checks them; the
     2^20 and 2^24 budgets are defined only in code.py, next to the one
     guard."""
-    internals = {"_binary_span", "_fiber_roots", "_pack_bits", "_walk_spectrum", "MAX_ENUMERATION"}
+    internals = {
+        "_binary_span", "_binary_blocks", "_fiber_roots", "_pack_bits", "_walk_spectrum",
+        "BLOCK_ROWS", "MAX_ENUMERATION",
+    }
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "code.py":
             continue

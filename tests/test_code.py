@@ -510,6 +510,18 @@ class TestBinaryWalker:
         walked = list(code_module._binary_span([packed(row) for row in rows]))
         assert walked == [packed(w) for w in iterate_span(F2, rows, n)]
 
+    @pytest.mark.parametrize("staged,sizes", [
+        (False, [4] * 8), (True, [1, 1, 2] + [4] * 7),
+    ], ids=["blocks", "staged"])
+    def test_blocks_concatenate_to_the_span(self, staged, sizes, monkeypatch):
+        # With two rows to the low block, five rows make 8 blocks of 4
+        # words; staged, the low block comes as [0] and one list a row.
+        monkeypatch.setattr(code_module, "BLOCK_ROWS", 2)
+        rows = [0b110010111, 0b011100001, 0b100000011, 0b111111111, 0b010101010]
+        blocks = list(code_module._binary_blocks(rows, staged))
+        assert list(map(len, blocks)) == sizes
+        assert sum(blocks, []) == list(code_module._binary_span(rows))
+
     @pytest.mark.parametrize("name", BINARY_CODES)
     def test_spectrum(self, name):
         code = seeded_binary_code(*BINARY_CODES[name])
@@ -521,6 +533,133 @@ class TestBinaryWalker:
     def test_dual_first_hits(self, name):
         code = seeded_binary_code(*BINARY_CODES[name])
         assert _dual_first_hits(code) == brute_dual_first_hits(code)
+
+    @pytest.mark.parametrize("seed,n,k", [(5, 30, 14), (8, 300, 2), (9, 300, 13)])
+    def test_spectrum_past_the_low_block(self, seed, n, k):
+        # k > BLOCK_ROWS walks blocks past the low one; n >= 256 counts
+        # weights that no longer fit a byte.
+        code = seeded_binary_code(seed, n, k)
+        counts, firsts = brute_binary_spectrum(code)
+        assert code.weight_distribution == counts
+        assert list(code.first_of_weight.items()) == list(firsts.items())
+
+    def test_dual_walk_past_the_low_block(self, monkeypatch):
+        # The seed-5 [30, 14] code has d_dual = 3 and its first weight-3
+        # dual word in stage 14, so the walk crosses block boundaries and
+        # stops with stage 14: 2^15 of the 2^16 dual words.
+        code = seeded_binary_code(5, 30, 14)
+        assert code.dual_distance == 3
+        expected = brute_dual_first_hits(code)
+        words = count_block_words(monkeypatch)
+        assert _dual_first_hits(code) == expected
+        assert words == [1 << 15]
+
+
+def brute_binary_spectrum(code):
+    """(counts, firsts) of a binary code, word i formed on its own as the
+    XOR of the packed rows at the 1 bits of i, row 0 the lowest: the
+    codewords() order."""
+    n = code.length
+    rows = [packed(row) for row in code.generator.entries]
+    counts = [0] * (n + 1)
+    firsts = {}
+    for i in range(1 << len(rows)):
+        word = 0
+        for j, row in enumerate(rows):
+            if i >> j & 1:
+                word ^= row
+        w = bin(word).count("1")
+        if w and not counts[w]:
+            firsts[w] = tuple(int(bit) for bit in format(word, f"0{n}b"))
+        counts[w] += 1
+    return tuple(counts), firsts
+
+
+def count_block_words(monkeypatch):
+    """A one-entry list that counts the words of every list the walks draw
+    from _binary_blocks from now on."""
+    words = [0]
+    original = code_module._binary_blocks
+
+    def counted(*args, **kwargs):
+        for block in original(*args, **kwargs):
+            words[0] += len(block)
+            yield block
+
+    monkeypatch.setattr(code_module, "_binary_blocks", counted)
+    return words
+
+
+def dual_codes(draw, fields):
+    """A code over one of `fields` with n <= 8, k < n and at most 2401
+    words in its dual; sparse rows now and then, for zero columns."""
+    field = draw(st.sampled_from(fields))
+    n = draw(st.integers(2, 8))
+    k_min = min(k for k in range(1, n) if field.q ** (n - k) <= 2401)
+    k = draw(st.integers(k_min, n - 1))
+    entry = st.integers(0, field.q - 1)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), entry)
+    rows = draw(st.lists(st.tuples(*[entry] * n), min_size=k, max_size=k))
+    assume(any(map(any, rows)))
+    code = LinearCode(Matrix(field, tuple(rows)))
+    assume(code.dimension < n)
+    return code
+
+
+class TestStagedDualWalk:
+    """_dual_first_hits over every field against a brute force over every
+    dual codeword, and the stage at which it stops."""
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(st.composite(dual_codes)((F3, Field(2, 2), Field(5), Field(7))))
+    # Codes whose dual holds a weight-d_dual word in the middle of a
+    # stage, before a larger mask of the same stage: a walk that stopped
+    # there, and not at the end of the stage, would miss the larger mask.
+    @example(LinearCode(Matrix(Field(5), (
+        (4, 1, 0, 3, 0, 3, 1, 4), (3, 3, 1, 4, 3, 2, 0, 0), (3, 3, 3, 2, 2, 1, 1, 3),
+        (0, 4, 1, 4, 0, 0, 4, 1), (3, 2, 2, 0, 4, 3, 1, 1),
+    ))))
+    @example(LinearCode(Matrix(F3, (
+        (1, 2, 1, 2, 2, 2, 1, 2), (1, 1, 2, 0, 2, 0, 2, 2), (2, 2, 0, 0, 0, 2, 1, 1),
+        (1, 2, 1, 2, 0, 0, 0, 1), (1, 1, 1, 2, 2, 0, 2, 2),
+    ))))
+    @example(LinearCode(Matrix(Field(7), (
+        (4, 1, 6, 6, 6, 1, 6), (2, 1, 1, 2, 1, 5, 2), (2, 0, 6, 1, 1, 4, 3), (2, 0, 6, 6, 4, 4, 2),
+    ))))
+    def test_equals_brute_force(self, code):
+        assert _dual_first_hits(code) == brute_dual_first_hits(code)
+
+    def test_binary_walk_stops_after_stage_0(self, monkeypatch):
+        # The dual of hamming7 is the [7, 3] simplex code: every nonzero
+        # word has weight 4 = d_dual, the last dual row among them. The
+        # walk draws the zero word and stage 0, and none of the other 6.
+        code = hamming()
+        expected = brute_dual_first_hits(code)
+        assert code.dual_distance == 4
+        words = count_block_words(monkeypatch)
+        assert _dual_first_hits(code) == expected
+        assert words == [2]
+
+    def test_fiber_walk_stops_after_stage_0(self, monkeypatch):
+        # The tetracode, [4, 2, 3] over F3, is its own dual, with every
+        # nonzero word of weight 3. Stage 0 is the fiber of b = 0, whose
+        # words c*S_0 for c = 1, 2 have weight 3, so iterate_span yields
+        # b = 0 only, of the 3 values of b.
+        code = LinearCode(Matrix(F3, ((1, 0, 1, 1), (0, 1, 1, 2))))
+        assert code.dual_distance == 3
+        expected = brute_dual_first_hits(code)
+        yields = []
+        original = code_module.iterate_span
+
+        def counted(*args):
+            for word in original(*args):
+                yields.append(word)
+                yield word
+
+        monkeypatch.setattr(code_module, "iterate_span", counted)
+        assert _dual_first_hits(code) == expected
+        assert yields == [(0, 0, 0, 0)]
 
 
 class TestBruteWeightOracle:

@@ -247,18 +247,19 @@ class TestWeakSecurityWitness:
     def test_witness_recovers_the_message(self, monkeypatch):
         walks = Counter()
 
-        def counting(name):
+        def counting(name, size):
             original = getattr(code_module, name)
 
             def counted(*args, **kwargs):
                 walks[name, "calls"] += 1
-                for vector in original(*args, **kwargs):
-                    walks[name, "yields"] += 1
-                    yield vector
+                for item in original(*args, **kwargs):
+                    walks[name, "words"] += size(item)
+                    yield item
             return counted
 
-        for name in ("iterate_span", "_binary_span"):
-            monkeypatch.setattr(code_module, name, counting(name))
+        # iterate_span yields one word at a time, _binary_blocks lists of them.
+        for name, size in (("iterate_span", lambda word: 1), ("_binary_blocks", len)):
+            monkeypatch.setattr(code_module, name, counting(name, size))
         rng = Rng(11)
         for code in (hamming(), reed_solomon_code(7, 3, Field(2, 3))):
             walks.clear()
@@ -277,14 +278,14 @@ class TestWeakSecurityWitness:
                 )
                 assert recovered == x[witness.exposed - 1]
             # The distribution and every witness take at most one walk of
-            # q^(k-1) fibers: the packed binary walk for hamming7, and none
-            # for RS [7, 3], which passes the GRS test.
+            # the q^k codewords: the packed binary walk for hamming7, and
+            # none for RS [7, 3], which passes the GRS test.
             if code._grs_certified():
                 assert walks == {}
             else:
                 assert walks == {
-                    ("_binary_span", "calls"): 1,
-                    ("_binary_span", "yields"): field.q ** (code.dimension - 1),
+                    ("_binary_blocks", "calls"): 1,
+                    ("_binary_blocks", "words"): field.q ** code.dimension,
                 }
 
     def test_full_weight_witness(self):
