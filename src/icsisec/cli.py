@@ -7,7 +7,8 @@ error, and the exit code tells the caller what happened:
     1  I/O failure (unreadable or missing file)
     2  malformed instance, bad flag values, or arity mismatch
     3  an enumeration guard fired; its message, from code._guard, reads
-       "<loop>: size <size> exceeds the limit <limit>" for each route
+       "<loop>: size <size> exceeds the limit <limit>" for the one loop
+       that stopped
     4  a receiver cannot decode its demand
     5  candidate list unavailable: too large (in the message form of 3),
        or the unknown columns lose rank

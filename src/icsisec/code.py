@@ -17,16 +17,18 @@ fixed order:
 The dual distance always comes from the code's spectrum through the
 MacWilliams identity, in exact integer arithmetic; the dual code itself
 (a nullspace basis) is built only where a dual codeword is needed or
-where the transform is cross-checked. The walk of the dual,
-_dual_first_hits, lives next to the code's and gives the security report
-its counterexample known sets past the known-set scan's budget; it stops
-at the first complete stage that holds a word of weight d_dual.
+where the transform is cross-checked; its generator is read from
+[I | A] and reduced once. The walk of the dual, _dual_first_hits, lives
+next to the code's and gives the security report its counterexample
+known sets past the known-set scan's budget; it stops at the first
+complete stage that holds a word of weight d_dual, and checks its budget
+at each stage boundary.
 
 Every exponential loop of the package is checked by the one helper
 _guard against its budget: MAX_ENUMERATION (2^24) for codewords and
 search nodes, MAX_SPACE (2^20) for message vectors, value tuples and
-candidates. A refusal reads "<loop>: size <size> exceeds the limit
-<limit>" for each route it covers.
+candidates. A refusal names one loop: "<loop>: size <size> exceeds the
+limit <limit>".
 
 A LinearCode normalizes whatever spanning rows it is given to the reduced
 row echelon basis, so two equal row spaces always produce identical
@@ -91,17 +93,15 @@ class MacWilliamsError(CodeError):
 
 def _guard(
     loop: str, size: int, limit: Optional[int] = None, *,
-    error: type[Exception] = TooLargeToEnumerateError, also: Optional[tuple[str, int, int]] = None,
+    error: type[Exception] = TooLargeToEnumerateError,
 ) -> None:
     """The one budget check on an exponential loop: a `loop` of `size`
     steps past `limit`, MAX_ENUMERATION when None, is refused by raising
     `error` with the message "<loop>: size <size> exceeds the limit
-    <limit>". `also` is (loop, size, limit) of a route tried first and
-    found past its own limit; the refusal then names both, that one first."""
+    <limit>"."""
     limit = MAX_ENUMERATION if limit is None else limit
     if size > limit:
-        routes = [r for r in (also, (loop, size, limit)) if r]
-        raise error(", and ".join(f"{r}: size {s} exceeds the limit {b}" for r, s, b in routes))
+        raise error(f"{loop}: size {size} exceeds the limit {limit}")
 
 
 def iterate_span(
@@ -276,8 +276,10 @@ def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
     stage is complete, each t answered so far has its final answer, and
     every t <= n - d_dual is answered once a word of weight d_dual has
     come. The walk stops after the first complete stage that holds one,
-    d_dual read from code.dual_distance, and never walks more than the
-    q^(n-k) dual words; its callers bound that.
+    d_dual read from code.dual_distance. It guards itself at each stage
+    boundary: before stage m it counts the q^(m+1) words through that
+    stage's end against MAX_ENUMERATION, so it never walks more than 2^24
+    words, however many the dual has, and a refusal names the stage.
 
     Over F2 a dual word packs into the same layout, so its zero mask is
     the complement and the largest mask is the smallest word. The words
@@ -297,6 +299,8 @@ def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
     rows = code.dual.generator.entries[::-1]
     stop = n - code.dual_distance
     best = [-1] * (n + 1)
+    loop = f"walk of q^(n-k) = {q}^{len(rows)} dual codewords, through stage"
+    stage = 0
     if q == 2:
         full = (1 << n) - 1
         blocks = _binary_blocks([_pack_bits(row) for row in rows], staged=True)
@@ -310,8 +314,11 @@ def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
                 if mask > best[n - w]:
                     best[n - w] = mask
                 words = [x for x in words if x.bit_count() < w]
-            if (high <= 0 or not high & (high + 1)) and best[stop] >= 0:
-                break
+            if high <= 0 or not high & (high + 1):
+                if best[stop] >= 0:
+                    break
+                stage += 1
+                _guard(f"{loop} {stage}", q ** (stage + 1))
     else:
         h0 = rows[0]
         roots = [(j, root, 1 << (n - 1 - j)) for j, root in _fiber_roots(field, h0)]
@@ -328,7 +335,9 @@ def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
             if walked == stage_end:
                 if best[stop] >= 0:
                     break
+                stage += 1
                 stage_end *= q
+                _guard(f"{loop} {stage}", q ** (stage + 1))
     # best[n] can only be the zero word's; a suffix maximum over the rest
     # gives each t.
     hits = []
@@ -566,8 +575,19 @@ class LinearCode:
         """The [n, n-k] dual code; undefined (zero) when k = n."""
         if self.dimension == self.length:
             raise ZeroDualError("dual of a full [n, n] code is the zero code")
-        kernel = solve(self.generator, Vector.zero(self.field, self.dimension)).kernel
-        return LinearCode.from_rows(list(kernel))
+        # The generator is [I | A] up to column order, pivot p_i in row i:
+        # each non-pivot column f gives the dual word e_f - sum_i A[i][f] e_(p_i).
+        n, neg = self.length, self.field.neg
+        pivots = [p - 1 for p in self.pivot_columns]
+        rows = []
+        for f in range(n):
+            if f + 1 not in self.pivot_columns:
+                row = [0] * n
+                row[f] = 1
+                for p, g in zip(pivots, self.generator.entries):
+                    row[p] = neg(g[f])
+                rows.append(tuple(row))
+        return LinearCode(Matrix._raw(self.field, tuple(rows)))
 
     @cached_property
     def dual_distance(self) -> int:

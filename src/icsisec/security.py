@@ -28,23 +28,23 @@ and s' = s - G_K x_K is the broadcast with the known messages removed; the
 list's columns come with the per-index outcome of their own reduction,
 and come in lexicographic order without a sort (list_attack). thm3
 checks the order and the two ends of each list, and a brute-force filter
-in the tests checks the whole list. The same reduction on a zero
-observation finds the hidden index of each known set the report's scan
-tries; the per-index solves of LinearCode.confined_combination stay as
-the attack's slow route in the thm4 suite.
+in the tests checks the whole list. The per-index solves of
+LinearCode.confined_combination stay as the attack's slow route in the
+thm4 suite.
 
 A report counterexample has one definition at every n: the first
 strength-t known set, in combinations order, that leaves an index hidden.
 Below t = n - k it is {1..t}. The strengths from n - k to the threshold
-are found by the known-set scan while it fits SCAN_BUDGET reductions,
-whose hits come with their hidden index, and by one walk of the dual
-(code._dual_first_hits) otherwise, and thm1 checks the walk against the
-scan wherever both fit. A report makes one reduction outside the scan:
-the one with nothing known, whose pivots are the right-greedy basis of
-the column matroid. The hidden index of each prefix {1..t} and of each
-walked set follows from that basis by duality (_first_counterexamples),
-and thm1 checks it against the scan's reductions. Every refusal goes
-through code._guard and names its loop, size and limit.
+are found by the known-set scan, one rank query per set, while it fits
+SCAN_BUDGET sets, and by one walk of the dual (code._dual_first_hits)
+otherwise. Every hidden index, of a prefix, a scanned set or a walked
+one, follows by duality from one reduction: the one with nothing known,
+whose pivots are the right-greedy basis of the column matroid
+(_first_counterexamples). thm1 checks the report's counterexamples, and
+the walk's known sets, against a scan that runs the attack's reduction
+on every known set (_complete_insecurity_exhaustive), which no report
+calls. Every refusal goes through code._guard and names its loop, size
+and limit.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .algebra import (
     FieldMismatchError,
     IndexOutOfRangeError,
     Vector,
+    _rank_raw,
     _read_solution,
     _rref_raw,
 )
@@ -552,7 +553,9 @@ def _complete_insecurity_exhaustive(
     code: LinearCode, strength: int
 ) -> Optional[RecoveryCounterexample]:
     """The first strength-t known set, in combinations order, that leaves an
-    index hidden, with its first hidden index; None when there is none."""
+    index hidden, with its first hidden index; None when there is none.
+    One attack reduction per known set: thm1's slow reference for the
+    report's counterexamples, which no report calls."""
     for known in itertools.combinations(range(1, code.length + 1), strength):
         found = _counterexample(code, known)
         if found is not None:
@@ -584,59 +587,62 @@ def _first_counterexamples(
     code: LinearCode, threshold: int
 ) -> list[Optional[RecoveryCounterexample]]:
     """The report's counterexample at every strength t < threshold: the
-    scan's first hit, the first strength-t known set in combinations order
-    that leaves an index hidden, with the first index it hides. An entry
-    is None where a set the theorems promise hides nothing, and the list
-    stops early at a strength where the scan finds none.
+    first strength-t known set in combinations order that leaves an index
+    hidden, with the first index it hides. An entry is None where the
+    closed form below finds no hidden index, and the list stops early at a
+    strength where the scan finds no set.
 
-    Below n - k the hit is {1..t}, since |U| > k >= rank(G_U). Only
+    A known set K leaves an index hidden exactly when the columns outside
+    it are dependent, rank(G_(E - K)) < n - t: a dependency among them is a
+    dual codeword that vanishes on K (Oxley, ch. 2). Below n - k the first
+    such set is {1..t}, since n - t > k >= rank(G_(E - K)). Only
     [n - k, threshold) is searched; it is empty exactly for MDS codes. The
-    scan searches it when its sum of C(n, t) known sets fits SCAN_BUDGET
-    reductions, and its hits come with their hidden index; every n <= 14
-    fits. Otherwise one walk of the q^(n-k) dual words fills it, within
-    the 2^24 codeword budget, and one refusal names both routes when
-    neither fits.
+    scan searches it, one rank query per known set, when its sum of
+    C(n, t) known sets fits SCAN_BUDGET; every n <= 14 fits. Otherwise one
+    walk of the dual (code._dual_first_hits) finds the same sets, and
+    guards itself stage by stage.
 
-    Every other hidden index is read, by duality, from one reduction: the
-    one with nothing known, whose pivots are the right-greedy basis B_R.
-    An index i outside K is hidden exactly when some dual codeword h
-    vanishes on K and has h_i != 0 (a kernel vector of G_U that moves x_i;
-    Oxley, ch. 2). The dual's words that vanish on {1..j-1} and not at j
-    exist exactly for j outside B_R: such an h is a dependency of column j
-    on the columns after it. So the pivots of the dual generator in RREF,
-    the first nonzero positions of its words, are the complement of B_R.
+    Every hidden index is read, by duality, from one reduction: the one
+    with nothing known, whose pivots are the right-greedy basis B_R. An
+    index i outside K is hidden exactly when some dual codeword h vanishes
+    on K and has h_i != 0 (a kernel vector of G_U that moves x_i). The
+    dual's words that vanish on {1..j-1} and not at j exist exactly for j
+    outside B_R: such an h is a dependency of column j on the columns
+    after it. So the pivots of the dual generator in RREF, the first
+    nonzero positions of its words, are the complement of B_R.
     - For K = {1..t}, every hidden i > t has such a word, whose first
       nonzero position j, with t < j <= i, is hidden too. So the first
       hidden index is min{i > t : i not in B_R}.
-    - For any other walked K, the first t zeros of a dual word h, the
+    - Any other first hit K is the first t zeros of a dual word h (see
+      _dual_first_hits), whether the scan or the walk found it, and the
       first index f outside K lies before max(K). A zero of h there would
       be among its first t zeros, so h_f != 0, and f = min(E - K) is
       hidden.
-    Where this finds no index the entry stays None.
     """
     n, k = code.length, code.dimension
-    right_basis = _right_basis(code)
-
-    def closed_form(known: Iterable[int]) -> Optional[RecoveryCounterexample]:
-        known = frozenset(known)
-        hidden = _first_hidden(known, right_basis, n)
-        return None if hidden is None else RecoveryCounterexample(known, hidden)
-
-    found = [closed_form(range(1, t + 1)) for t in range(n - k)]
+    found = [tuple(range(1, t + 1)) for t in range(n - k)]
     searched = range(n - k, threshold)
-    scan = sum(math.comb(n, t) for t in searched)
-    if scan <= SCAN_BUDGET:
+    if sum(math.comb(n, t) for t in searched) <= SCAN_BUDGET:
+        # The columns as rows, ranked without rank_of_columns' cache, which
+        # would keep every set the scan tests.
+        columns = list(enumerate(zip(*code.generator.entries), 1))
         for t in searched:
-            hit = _complete_insecurity_exhaustive(code, t)
+            hit = next((
+                known for known in itertools.combinations(range(1, n + 1), t)
+                if _rank_raw(code.field, [c for j, c in columns if j not in known]) < n - t
+            ), None)
             if hit is None:
                 break
             found.append(hit)
-        return found
-    q = code.field.q
-    scanned = (f"known-set scan over t = {n - k}..{threshold - 1}, in reductions", scan, SCAN_BUDGET)
-    _guard(f"walk of q^(n-k) = {q}^{n - k} dual codewords", q ** (n - k), also=scanned)
-    walked = _dual_first_hits(code)[n - k:threshold]
-    return found + [closed_form(known) for known in walked]
+    else:
+        found += _dual_first_hits(code)[n - k:threshold]
+    right_basis = _right_basis(code)
+    counterexamples = []
+    for known in found:
+        known = frozenset(known)
+        hidden = _first_hidden(known, right_basis, n)
+        counterexamples.append(None if hidden is None else RecoveryCounterexample(known, hidden))
+    return counterexamples
 
 
 def security_report(code: LinearCode, *, seed: int = 0) -> SecurityReport:

@@ -8,10 +8,11 @@ names thm1 .. thm4 and lemma3):
           each weight (whichever route produced them) against a plain walk
           over every codeword, and on that walk's weights the pruned
           first-of-weight search, the C(n, k) MDS certificate and the GRS
-          test; the dual walk's counterexample known sets against the
-          known-set scan (on the corpus, and on a binary [16, 8] probe past
-          the scan's budget), with the hidden index the report reads from
-          one reduction against the scan's, and per-code distance claims
+          test; the report's counterexamples, known sets and hidden
+          indices, and the dual walk's known sets against a scan that
+          reduces every known set (on the corpus, and on a binary [16, 8]
+          probe past the report scan's budget), and per-code distance
+          claims
   thm2    orthogonal-array counts in every <= d_dual - 1 column set
   lemma3  algebraic no-information test against brute force: every
           binary instance with n <= 4 and up to 3 receivers, each distinct
@@ -49,6 +50,7 @@ from .code import (
     MAX_ENUMERATION,
     MAX_SPACE,
     MacWilliamsError,
+    TooLargeToEnumerateError,
     ZeroCodeError,
     _count_tuples,
     _dual_first_hits,
@@ -72,8 +74,7 @@ from .security import (
     RankDeficientError,
     SecurityQuery,
     _complete_insecurity_exhaustive,
-    _first_hidden,
-    _right_basis,
+    _first_counterexamples,
     block_security_level,
     complete_insecurity_attack,
     conditional_block_entropy,
@@ -255,29 +256,35 @@ def _spectrum_mismatch(code: LinearCode) -> Optional[dict]:
 
 
 def _first_hit_mismatch(code: LinearCode, budget: float = SCAN_BUDGET) -> Optional[dict]:
-    """Where the dual fits the enumeration guard and the searched strengths
-    fit `budget` known sets, check at every strength below n - d_dual + 1
-    the dual walk's first hit against the scan's, and the hidden index the
-    report reads from the right-greedy basis against the one the scan's
-    reduction of that hit found. Returns the first disagreement, or None."""
-    n, k, q = code.length, code.dimension, code.field.q
+    """Where the searched strengths fit `budget` known sets, check at every
+    strength below n - d_dual + 1 the report's own counterexample
+    (_first_counterexamples, by whichever route it takes) against the
+    scan that reduces every known set, and the dual walk's first hit
+    against the scan's unless the walk refuses. Returns the first
+    disagreement, or None."""
+    n, k = code.length, code.dimension
     threshold = n - code.dual_distance + 1
     scan = sum(math.comb(n, t) for t in range(n - k, threshold))
-    if k == n or q ** (n - k) > MAX_ENUMERATION or scan > budget:
+    if k == n or scan > budget:
         return None
-    walked = _dual_first_hits(code)
-    right_basis = _right_basis(code)
+    reported = _first_counterexamples(code, threshold)
+    try:
+        walked: Optional[list] = _dual_first_hits(code)
+    except TooLargeToEnumerateError:
+        walked = None
     for t in range(threshold):
         hit = _complete_insecurity_exhaustive(code, t)
         scanned = None if hit is None else sorted(hit.known)
-        walk = list(walked[t]) if t < len(walked) else None
-        if walk != scanned:
-            return {"t": t, "walk": walk, "scan": scanned}
-        if hit is None:
-            continue
-        closed_form = _first_hidden(hit.known, right_basis, n)
-        if closed_form != hit.resisted:
-            return {"t": t, "known": scanned, "closed_form": closed_form, "scan": hit.resisted}
+        if walked is not None:
+            walk = list(walked[t]) if t < len(walked) else None
+            if walk != scanned:
+                return {"t": t, "walk": walk, "scan": scanned}
+        report = reported[t] if t < len(reported) else None
+        if report != hit:
+            return {
+                "t": t, "scan": scanned, "scan_hidden": hit and hit.resisted,
+                "report": report and sorted(report.known), "report_hidden": report and report.resisted,
+            }
     return None
 
 

@@ -11,7 +11,6 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import os
 import random
 import re
@@ -296,13 +295,32 @@ class TestAnalyze:
             assert len(cex["known"]) == s["t"] and cex["resisted"] not in cex["known"]
             assert code.confined_combination(frozenset(cex["known"]), cex["resisted"]) is None
 
-    def test_scan_and_dual_past_their_budgets_is_exit_3(self, tmp_path):
+    def test_scan_and_dual_past_their_budgets_is_exit_3(self, monkeypatch, tmp_path, capsys):
         # A seeded [30, 10] code over F3: its searched strengths hold over
-        # C(30, 20) > 3 * 10^7 known sets, and its dual 3^20 words.
+        # C(30, 20) > 3 * 10^7 known sets, and its dual walk stops after
+        # stage 11, 3^12 words. Under a budget of 3^10 the code walk still
+        # fits and the dual walk is refused on entering stage 10.
         path = write_code(tmp_path, "rand30_10_f3.json", {"p": 3}, seeded_code(Field(3), 0, 30, 10))
+        monkeypatch.setattr(code_module, "MAX_ENUMERATION", 3 ** 10)
+        exit_code, out, _ = call_main(capsys, "analyze", path)
+        assert (exit_code, out) == (3, "")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_large_scan_and_dual_stop_early_and_report(self, tmp_path, seed):
+        # The same [30, 10] codes: past the scan's budget and with 3^20
+        # dual words, their staged dual walks stop within the 2^24 budget
+        # (seed 0 after stage 11), and every counterexample hides its index.
+        code = seeded_code(Field(3), seed, 30, 10)
+        path = write_code(tmp_path, "rand30_10_f3.json", {"p": 3}, code)
         result = run_cli("analyze", path)
-        assert result.returncode == 3
-        assert result.stdout == ""
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        threshold = report["insecure_from"]
+        assert threshold == 30 - report["code"]["d_dual"] + 1 > 20
+        for s in report["strengths"][:threshold]:
+            cex = s["counterexample"]
+            assert len(cex["known"]) == s["t"] and cex["resisted"] not in cex["known"]
+            assert code.confined_combination(frozenset(cex["known"]), cex["resisted"]) is None
 
     def test_missing_file_is_exit_1(self):
         result = run_cli("analyze", str(INSTANCES / "absent.json"))
@@ -375,14 +393,13 @@ def _guard_sweep(monkeypatch, tmp_path):
 
 def _guard_counterexamples(monkeypatch, tmp_path):
     # A seeded [30, 10] code over F3 with d_dual = 4: strengths 20 to 26
-    # hold over 5 * 10^7 known sets, and the dual 3^20 words.
+    # hold over 5 * 10^7 known sets, past the scan's budget, and the dual
+    # walk stops after stage 11. A budget of 3^10 refuses it at stage 10.
     code = seeded_code(Field(3), 0, 30, 10)
     path = write_code(tmp_path, "rand30_10_f3.json", {"p": 3}, code)
-    scan = sum(math.comb(30, t) for t in range(20, 27))
-    return ["analyze", path], 3, [
-        ("known-set scan over t = 20..26, in reductions", scan, 1 << 14),
-        ("walk of q^(n-k) = 3^20 dual codewords", 3 ** 20, 1 << 24),
-    ]
+    monkeypatch.setattr(code_module, "MAX_ENUMERATION", 3 ** 10)
+    loop = "walk of q^(n-k) = 3^20 dual codewords, through stage 10"
+    return ["analyze", path], 3, [(loop, 3 ** 11, 3 ** 10)]
 
 
 def _guard_list(monkeypatch, tmp_path):

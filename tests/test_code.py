@@ -661,6 +661,50 @@ class TestStagedDualWalk:
         assert _dual_first_hits(code) == expected
         assert yields == [(0, 0, 0, 0)]
 
+    def test_binary_walk_is_budgeted_stage_by_stage(self, monkeypatch):
+        # The seed-5 [30, 14] code stops with stage 14, after 2^15 of its
+        # 2^16 dual words: a budget of 2^15 lets it finish, and one of 2^14
+        # refuses on entering stage 14, with 2^14 words drawn.
+        code = seeded_binary_code(5, 30, 14)
+        expected = brute_dual_first_hits(code)
+        monkeypatch.setattr(code_module, "MAX_ENUMERATION", 1 << 15)
+        assert _dual_first_hits(code) == expected
+        monkeypatch.setattr(code_module, "MAX_ENUMERATION", 1 << 14)
+        words = count_block_words(monkeypatch)
+        with pytest.raises(TooLargeToEnumerateError) as refused:
+            _dual_first_hits(code)
+        assert str(refused.value) == (
+            "walk of q^(n-k) = 2^16 dual codewords, through stage 14: "
+            "size 32768 exceeds the limit 16384"
+        )
+        assert words == [1 << 14]
+
+    def test_fiber_walk_is_budgeted_stage_by_stage(self, monkeypatch):
+        # A [10, 4] code over F3 with d_dual = 3 whose walk stops after
+        # stage 3, 3^4 of its 3^6 dual words: a budget of 3^4 lets it
+        # finish, and one of 3^3 refuses on entering stage 3, with the
+        # fibers of stages 0..2 (3^2 values of b) walked.
+        code = LinearCode(Matrix(F3, (
+            (1, 0, 0, 0, 2, 0, 2, 1, 0, 2), (0, 1, 0, 0, 0, 0, 2, 2, 1, 1),
+            (0, 0, 1, 0, 2, 2, 2, 2, 2, 2), (0, 0, 0, 1, 1, 1, 0, 2, 1, 1),
+        )))
+        assert code.dual_distance == 3
+        expected = brute_dual_first_hits(code)
+        monkeypatch.setattr(code_module, "MAX_ENUMERATION", 3 ** 4)
+        assert _dual_first_hits(code) == expected
+        monkeypatch.setattr(code_module, "MAX_ENUMERATION", 3 ** 3)
+        yields = []
+        original = code_module.iterate_span
+        monkeypatch.setattr(
+            code_module, "iterate_span", lambda *args: (yields.append(w) or w for w in original(*args))
+        )
+        with pytest.raises(TooLargeToEnumerateError) as refused:
+            _dual_first_hits(code)
+        assert str(refused.value) == (
+            "walk of q^(n-k) = 3^6 dual codewords, through stage 3: size 81 exceeds the limit 27"
+        )
+        assert len(yields) == 3 ** 2
+
 
 class TestBruteWeightOracle:
     """Frozen distances double-checked by a raw enumeration oracle."""

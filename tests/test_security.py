@@ -481,8 +481,8 @@ class TestSecurityReport:
 
     def test_scan_hits_are_reduced_once(self, monkeypatch):
         # hamming7: the one reduction with nothing known gives the basis
-        # that t = 0, 1, 2 read their hidden index from, and the t = 3
-        # scan's first set is its hit, whose hidden index the report reuses.
+        # that every strength reads its hidden index from; the t = 3 scan
+        # finds its hit by rank queries and reduces no known set.
         calls = []
         original = security_module._reduce_unknowns
 
@@ -492,7 +492,7 @@ class TestSecurityReport:
 
         monkeypatch.setattr(security_module, "_reduce_unknowns", counted)
         report = security_report(hamming())
-        assert calls == [[], [1, 2, 3]]
+        assert calls == [[]]
         assert report.strengths[3].complete_counterexample == RecoveryCounterexample(
             known=frozenset({1, 2, 3}), resisted=4
         )
@@ -660,6 +660,18 @@ class TestOneCounterexampleDefinition:
         # Every code with a strength to search, i.e. every non-MDS one, walks.
         searched = [e for e in corpus if e.code.dual_distance <= e.code.dimension]
         assert len(walks) == len(searched) > 0
+
+    def test_reports_take_no_slow_route(self, monkeypatch):
+        # The scan's reductions of each known set are thm1's reference
+        # only: every corpus report, scanned or not, runs without them.
+        def refused(*args):
+            raise AssertionError("a report reached a slow route")
+
+        monkeypatch.setattr(security_module, "_complete_insecurity_exhaustive", refused)
+        monkeypatch.setattr(security_module, "_counterexample", refused)
+        for entry in builtin_corpus(0):
+            report = security_report(entry.code)
+            assert len(report.strengths) == entry.code.length, entry.name
 
     @staticmethod
     def check_walk(code):
