@@ -40,6 +40,7 @@ from .security import (
     RankDeficientError,
     SecurityError,
     _candidate_columns,
+    _candidate_text,
     complete_insecurity_attack,
     security_report,
 )
@@ -131,11 +132,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
     rows = ""
     if columns is not None:
         lines.append(f"count={len(columns[0])}")
-        # One format string per list, applied to the rows of the columns:
-        # no Vector per candidate, and no table of the q value strings,
-        # which would cost q conversions even for a single candidate.
-        row_format = ",".join(["%d"] * code.length) + "\n"
-        rows = "".join([row_format % row for row in zip(*columns)])
+        # The text is written from the columns with no Vector per
+        # candidate and, for q <= 256, no Python step per row.
+        rows = _candidate_text(columns, field.q)
     if not outcome.consistent:
         print("note: the observation matches no message vector; "
               "recovered values are not meaningful", file=sys.stderr)

@@ -27,8 +27,9 @@ reduction of [G_U | s'], where U is the unknown columns in descending order
 and s' = s - G_K x_K is the broadcast with the known messages removed; the
 list's columns come with the per-index outcome of their own reduction,
 and come in lexicographic order without a sort (list_attack). thm3
-checks the order and the two ends of each list, and a brute-force filter
-in the tests checks the whole list. The per-index solves of
+checks the order and the two ends of each list, and the text written
+from its columns (_candidate_text) against a % format; a brute-force
+filter in the tests checks the whole list. The per-index solves of
 LinearCode.confined_combination stay as the attack's slow route in the
 thm4 suite.
 
@@ -385,7 +386,7 @@ def _candidate_columns(code: LinearCode, view: AdversaryView) -> tuple[list, "At
     """The candidate list as n columns, column j holding coordinate j + 1
     of every candidate in lexicographic order, and the per-index outcome
     read off the same reduction. Columns are bytes for q <= 16, lists
-    otherwise.
+    otherwise; _candidate_text writes them out.
 
     Column j starts as the particular solution's value z_j. A kernel vector
     v, taken from the largest free index up so that each becomes the next
@@ -446,6 +447,43 @@ def _candidate_columns(code: LinearCode, view: AdversaryView) -> tuple[list, "At
             else:
                 columns[j] = b"".join([col.translate(shifts[mul(a, v)]) for a in range(q)])
     return columns, _outcome(unknown, reduced, pivots)
+
+
+def _candidate_text(columns: list, q: int) -> str:
+    """The rows of the candidate columns as text: a row's values in
+    decimal, joined by commas, one row per line.
+
+    For q <= 256 every value fits a byte, so the text is written column by
+    column into one buffer prefilled with commas and newlines: each cell
+    is `width` digit bytes and a separator, and each digit place of a
+    column is one translate through a table of that digit over 0..q-1,
+    written with one stride slice. A value shorter than `width` gets zero
+    bytes in its leading places, deleted in one pass. Past q = 256 a value
+    does not fit a byte and each row is one % format: a table of the q
+    value strings would cost q conversions even for a single candidate.
+    """
+    n = len(columns)
+    if q > 256:
+        row_format = ",".join(["%d"] * n) + "\n"
+        return "".join([row_format % row for row in zip(*columns)])
+    columns = [bytes(col) for col in columns]
+    rows = len(columns[0])
+    width = len(str(q - 1))
+    cell = width + 1
+    stride = n * cell
+    out = bytearray(b",") * (rows * stride)
+    out[stride - 1::stride] = b"\n" * rows
+    for d in range(width):
+        place = 10 ** (width - 1 - d)
+        table = bytes([
+            b"0123456789"[v // place % 10] if v >= place or place == 1 else 0
+            for v in range(q)
+        ]).ljust(256, b"\0")
+        for j, col in enumerate(columns):
+            out[j * cell + d::stride] = col.translate(table)
+    if width > 1:
+        out = out.translate(None, b"\0")
+    return out.decode("ascii")
 
 
 @dataclass(frozen=True)

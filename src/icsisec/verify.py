@@ -21,14 +21,17 @@ names thm1 .. thm4 and lemma3):
           conditional_block_entropy oracle
   thm3    distance-derived security floors, weight witnesses, list attacks
           with their size, membership, strictly increasing order, and
-          first and last entries consistent with the observation (on the
-          corpus, and on a probe over F17, past the packed byte columns)
+          first and last entries consistent with the observation, and the
+          text attack --list prints for them against a % format of each
+          candidate (on the corpus its line count and end lines; on a
+          probe over F17, past the packed byte columns, and one over F251,
+          with three-digit values, every line)
   thm4    guaranteed full recovery at strength n - d_dual + 1, with the
           one-reduction attack checked index by index against
           LinearCode.confined_combination
 
 Suites run against a built-in corpus (three named codes plus 50 seeded
-random ones; the two probes add no counted case) and stop at the first
+random ones; the probes add no counted case) and stop at the first
 failing case, so a reported failure is the smallest one in a fixed scan
 order. Extra corpus entries can be appended from a file; claim checking
 in thm1 then doubles as a harness self-test, since a corrupted generator
@@ -73,6 +76,7 @@ from .security import (
     ListTooLargeError,
     RankDeficientError,
     SecurityQuery,
+    _candidate_text,
     _complete_insecurity_exhaustive,
     _first_counterexamples,
     block_security_level,
@@ -568,18 +572,29 @@ def _suite_security_thresholds(seed: int, corpus: tuple[CorpusEntry, ...]) -> Su
         failure = _list_mismatch(code, known, x)
         if failure is not None:
             return _done("thm3", cases, {"code": entry.name, **failure})
-    # Route probe, no counted case: past q = 16 the list is built in list
-    # columns, a branch no corpus field reaches; 17 candidates at t = n - k - 1.
-    failure = _list_mismatch(reed_solomon_code(6, 3, Field(17)), (1, 2), (3, 14, 1, 5, 9, 16))
-    if failure is not None:
-        return _done("thm3", cases, {"code": "rs6_3_f17", **failure})
+    # Route probes, no counted case, each with its full text checked: past
+    # q = 16 the list is built in list columns, a branch no corpus field
+    # reaches (17 candidates at t = n - k - 1), and F251 writes three-digit
+    # values (251 candidates).
+    probes = (
+        ("rs6_3_f17", reed_solomon_code(6, 3, Field(17)), (1, 2), (3, 14, 1, 5, 9, 16)),
+        ("rs4_2_f251", reed_solomon_code(4, 2, Field(251)), (3,), (250, 7, 100, 38)),
+    )
+    for name, code, known, x in probes:
+        failure = _list_mismatch(code, known, x, full_text=True)
+        if failure is not None:
+            return _done("thm3", cases, {"code": name, **failure})
     return _done("thm3", cases, None)
 
 
-def _list_mismatch(code: LinearCode, known, x: tuple[int, ...]) -> Optional[dict]:
+def _list_mismatch(
+    code: LinearCode, known, x: tuple[int, ...], full_text: bool = False
+) -> Optional[dict]:
     """Check the list attack of an adversary holding `known` against the
     observation of x: its order, its two ends, its size q^(n-t-k) and that
-    it holds x. Returns the first failing check, or None."""
+    it holds x, and the text attack --list prints against the % format of
+    each candidate: its line count and two end lines, or with `full_text`
+    every line. Returns the first failing check, or None."""
     field = code.field
     s = _broadcast(code, x)
     facts = {"t": len(known), "known": sorted(known), "x": list(x)}
@@ -604,6 +619,22 @@ def _list_mismatch(code: LinearCode, known, x: tuple[int, ...]) -> Optional[dict
             "check": "list_attack", **facts, "list_size": len(candidates),
             "expected_size": expected, "contains_x": Vector(field, x) in candidates,
         }
+    # The text is written from the candidates' coordinate columns, which
+    # hold the values attack --list writes. Formatting every candidate of a
+    # corpus list would add about a fifth to the suite's time; the probes
+    # pay it.
+    text = _candidate_text(list(zip(*[c.entries for c in candidates])), field.q)
+    row_format = ",".join(["%d"] * code.length) + "\n"
+    if full_text:
+        wrong = text != "".join([row_format % c.entries for c in candidates])
+    else:
+        wrong = (
+            text.count("\n") != len(candidates)
+            or not text.startswith(row_format % candidates[0].entries)
+            or not text.endswith(row_format % candidates[-1].entries)
+        )
+    if wrong:
+        return {"check": "list_text", **facts, "text_head": text[:200]}
     return None
 
 

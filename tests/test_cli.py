@@ -989,12 +989,16 @@ class TestRequestDigests:
 
 # One generated instance per field: F2, GF(8), F13 and GF(16) take the
 # packed byte columns (two-digit entries from F13 on), F17 the list columns.
+# F251 writes three-digit entries through bytes, and F257 is past a byte;
+# both have n - k = 2, so strength 0 lists q^2 candidates.
 LIST_PARITY_INSTANCES = (
     ("parity_f2", {"p": 2}, 10, 4),
     ("parity_gf8", {"p": 2, "m": 3}, 6, 3),
     ("parity_f13", {"p": 13}, 5, 2),
     ("parity_gf16", {"p": 2, "m": 4}, 5, 2),
     ("parity_f17", {"p": 17}, 5, 2),
+    ("parity_f251", {"p": 251}, 4, 2),
+    ("parity_f257", {"p": 257}, 4, 2),
 )
 
 
@@ -1037,3 +1041,25 @@ class TestListParity:
         # Every instance lists more candidates than q at strength 0, so at
         # least two kernel vectors stack their column blocks.
         assert max(lengths) > q
+
+    def test_rs7_3_full_list_equals_formatted_vectors(self, capsys):
+        # Strength 0 on the shipped RS [7, 3] instance over GF(8): the
+        # largest list a shipped instance prints, 8^4 rows.
+        from icsisec.fileio import load_instance
+        from icsisec.icsi import build_scheme, encode
+        from icsisec.security import AdversaryView, list_attack
+
+        path = str(INSTANCES / "rs7_3.json")
+        loaded = load_instance(path)
+        scheme = build_scheme(loaded.instance, loaded.choice_vectors)
+        code, field = scheme.code, scheme.field
+        broadcast = encode(scheme, Vector(field, (5, 0, 7, 1, 2, 6, 3)))
+        candidates = list_attack(code, AdversaryView.of({}, broadcast))
+        assert len(candidates) == 4096
+        row_format = ",".join(["%d"] * code.length) + "\n"
+        exit_code, out, err = call_main(
+            capsys, "attack", path, "--broadcast", ",".join(map(str, broadcast.entries)), "--list",
+        )
+        assert (exit_code, err) == (0, "")
+        head = "".join(f"{i}=?\n" for i in range(1, 8)) + "count=4096\n"
+        assert out == head + "".join([row_format % c.entries for c in candidates])

@@ -388,6 +388,35 @@ class TestListAttackBruteForce:
         assert complete_insecurity_attack(code, view) == outcome
 
 
+@st.composite
+def candidate_columns(draw):
+    """(columns, q): n <= 8 columns of 1 to 300 values below q, bytes for
+    q <= 16 and lists above, as _candidate_columns builds them. The values
+    come from a drawn Random: drawing up to 2,400 of them one at a time
+    makes the test about four times slower."""
+    q = draw(st.sampled_from((2, 8, 10, 11, 16, 17, 100, 101, 251, 256, 257)))
+    n = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 300))
+    rng = draw(st.randoms(use_true_random=False))
+    columns = [[rng.randrange(q) for _ in range(rows)] for _ in range(n)]
+    return [bytes(col) if q <= 16 else col for col in columns], q
+
+
+class TestCandidateText:
+    """_candidate_text against one % format per row."""
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(candidate_columns())
+    @example(([bytes([0, 9, 10, 15])], 16))
+    @example(([[0, 9, 10, 99, 100, 250], [250, 100, 99, 10, 9, 0]], 251))
+    @example(([[0, 9, 10, 99, 100, 255, 256]], 257))
+    def test_text_equals_row_formats(self, drawn):
+        columns, q = drawn
+        row_format = ",".join(["%d"] * len(columns)) + "\n"
+        expected = "".join(row_format % row for row in zip(*columns))
+        assert security_module._candidate_text(columns, q) == expected
+
+
 class TestCompleteInsecurityAttack:
     def test_strength_four_on_hamming(self):
         code = hamming()
