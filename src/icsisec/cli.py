@@ -138,7 +138,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if not outcome.consistent:
         print("note: the observation matches no message vector; "
               "recovered values are not meaningful", file=sys.stderr)
-    sys.stdout.write("".join(f"{line}\n" for line in lines) + rows)
+    # Two writes, so the list text is not copied once more into one string.
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    sys.stdout.write(rows)
     return 0
 
 

@@ -183,19 +183,30 @@ def conditional_block_entropy(
 ) -> BlockEntropy:
     """Brute-force oracle for the same question has_no_information answers.
 
-    Enumerates every message vector that matches the known values and the
+    Counts every message vector that matches the known values and the
     broadcast, tallies the values on the block, and reports the exact count
     table, a uniformity flag (all q^|B| tuples appear equally often), and
     the entropy in bits. Deliberately shares no rank or solve machinery
-    with the rank test; it only walks iterate_span over the free columns.
+    with the rank test; it only walks iterate_span, twice.
+
+    Block values b and rest values r are consistent exactly when
+    G_B b = target - G_E r, where target is the broadcast minus the known
+    columns, so the count for b is the number of r with that residue. One
+    walk over the q^|E| rest vectors tallies each residue target - G_E r
+    in a dict of at most q^min(|E|, k) keys; one walk over the q^|B| block
+    values then looks up G_B b. That is q^|E| + q^|B| steps in place of
+    the q^(|E| + |B|) of a walk over every free message. The guard still
+    counts the q^(n-t) message vectors the answer covers.
     """
     n, k = code.length, code.dimension
     field = code.field
     q = field.q
     if query.n != n:
         raise DimensionMismatchError(f"query over n={query.n}, code length {code.length}")
-    free = sorted(query.block | query.rest)
-    _guard(f"oracle walk of q^(n-t) = {q}^{len(free)} message vectors", q ** len(free), MAX_SPACE)
+    rest = sorted(query.rest)
+    block_sorted = sorted(query.block)
+    free = len(rest) + len(block_sorted)
+    _guard(f"oracle walk of q^(n-t) = {q}^{free} message vectors", q ** free, MAX_SPACE)
     if frozenset(known_values) != query.known:
         raise ValueError("known values must cover exactly the query's known set")
     if broadcast.field != field:
@@ -203,8 +214,7 @@ def conditional_block_entropy(
     if len(broadcast) != k:
         raise DimensionMismatchError(f"broadcast has length {len(broadcast)}, expected {k}")
 
-    gen = code.generator.entries
-    columns = [tuple(gen[r][j] for r in range(k)) for j in range(n)]
+    columns = list(zip(*code.generator.entries))
     sub, mul = field.sub, field.mul
 
     # The free messages must contribute broadcast minus the known columns.
@@ -216,18 +226,23 @@ def conditional_block_entropy(
             for r in range(k):
                 if col[r]:
                     target[r] = sub(target[r], mul(v, col[r]))
-    target_key = tuple(target)
 
-    # iterate_span runs its coefficients in canonical odometer order, so the
-    # base-q digits of a step's index, least significant first, are the
-    # values of the free messages in ascending index order.
-    block_sorted = sorted(query.block)
-    block_weights = [q ** free.index(i) for i in block_sorted]
+    # The subtraction sits on the rest walk, which is the shorter one when
+    # the block is the larger part of the free messages.
+    residues: dict[tuple[int, ...], int] = {}
+    for value in iterate_span(field, [columns[j - 1] for j in rest], width=k):
+        value = tuple(map(sub, target, value))
+        residues[value] = residues.get(value, 0) + 1
+
+    # iterate_span and product both run an odometer, iterate_span with its
+    # first coefficient fastest and product with its last, so a reversed
+    # product tuple holds the values of the block in ascending index order.
+    digits = itertools.product(range(q), repeat=len(block_sorted))
     counts: dict[tuple[int, ...], int] = {}
-    for index, value in enumerate(iterate_span(field, [columns[j - 1] for j in free])):
-        if value == target_key:
-            key = tuple(index // w % q for w in block_weights)
-            counts[key] = counts.get(key, 0) + 1
+    for key, value in zip(digits, iterate_span(field, [columns[j - 1] for j in block_sorted])):
+        count = residues.get(value)
+        if count:
+            counts[key[::-1]] = count
 
     total = sum(counts.values())
     if total == 0:

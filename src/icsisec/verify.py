@@ -16,8 +16,9 @@ names thm1 .. thm4 and lemma3):
   thm2    orthogonal-array counts in every <= d_dual - 1 column set
   lemma3  algebraic no-information test against brute force: every
           binary instance with n <= 4 and up to 3 receivers, each distinct
-          code checked per query by one grouped pass over its message
-          vectors, then 1000 seeded random instances against the public
+          code's message vectors grouped once per known set by what that
+          adversary observes and checked per query by one tally per
+          group, then 1000 seeded random instances against the public
           conditional_block_entropy oracle
   thm3    distance-derived security floors, weight witnesses, list attacks
           with their size, membership, strictly increasing order, and
@@ -375,8 +376,10 @@ def _routes_disagree(code: LinearCode, known, block, tallies) -> Optional[dict]:
 
     `tallies` yields (x, counts) pairs in scan order, where counts is the
     table of block values over every message vector that agrees with x on
-    the known set and in the broadcast. Returns the first failure (unequal
-    counts for some x, or the two routes disagreeing), or None."""
+    the known set and in the broadcast: one pair per observation, the
+    first x to make it standing for every x that shares it. Returns the
+    first failure (unequal counts for some x, or the two routes
+    disagreeing), or None."""
     algebraic = has_no_information(code, SecurityQuery(code.length, known, block))
     space = code.field.q ** len(block)
     oracle = True
@@ -399,22 +402,31 @@ def _routes_disagree(code: LinearCode, known, block, tallies) -> Optional[dict]:
     return None
 
 
-def _grouped_tallies(known, block, observations) -> list[tuple[tuple[int, ...], dict]]:
-    """The oracle's count tables for every observation from one pass over
-    all message vectors: `observations` holds each (x, Gx) once, and x is
-    grouped by (x_K, Gx) with its block values tallied in the group. Pairs
-    every x, in the given order, with its group's table. Brute force only:
-    no rank, solve or span machinery."""
+def _known_groups(known, observations) -> list[list[tuple[int, ...]]]:
+    """Partition the x of `observations`, which holds each (x, Gx) once, by
+    what an adversary holding `known` sees: x_K and the broadcast Gx.
+    Groups come in the order of their first members, and members in the
+    given order. Brute force only: no rank, solve or span machinery."""
     known_idx = [i - 1 for i in sorted(known)]
-    block_idx = [i - 1 for i in sorted(block)]
-    groups: dict[tuple, dict[tuple[int, ...], int]] = {}
-    tables = []
+    groups: dict[tuple, list[tuple[int, ...]]] = {}
     for x, s in observations:
-        counts = groups.setdefault((tuple(x[i] for i in known_idx), s), {})
-        values = tuple(x[i] for i in block_idx)
-        counts[values] = counts.get(values, 0) + 1
-        tables.append((x, counts))
-    return tables
+        groups.setdefault((tuple([x[i] for i in known_idx]), s), []).append(x)
+    return list(groups.values())
+
+
+def _grouped_tallies(block, groups) -> list[tuple[tuple[int, ...], dict]]:
+    """The oracle's count table of the block values over each group of
+    _known_groups, which every member of the group shares, paired with the
+    group's first member."""
+    block_idx = [i - 1 for i in sorted(block)]
+    tallies = []
+    for group in groups:
+        counts: dict[tuple[int, ...], int] = {}
+        for x in group:
+            values = tuple([x[i] for i in block_idx])
+            counts[values] = counts.get(values, 0) + 1
+        tallies.append((group[0], counts))
+    return tallies
 
 
 def _exhaustive_codes(n: int):
@@ -457,20 +469,22 @@ def _suite_oracle_equivalence(seed: int, corpus: tuple[CorpusEntry, ...]) -> Sui
 
     # Exhaustive half: every instance with n <= 4 and up to 3 receivers over
     # F_2, under both default policies; each distinct code is swept once
-    # against all queries. Per query, one grouped pass over the 2^n message
-    # vectors gives the oracle's count table for every observation at once.
+    # against all queries. The 2^n message vectors are grouped by each
+    # known set's observation (x_K, Gx) once per code, and per query one
+    # tally per group gives the oracle's count table for all its members.
     for n in range(1, 5):
         queries = _all_queries(n)
+        known_sets = {known for known, _ in queries}
         for code in _exhaustive_codes(n):
             observations = [
                 (x, _broadcast(code, x).entries)
                 for x in itertools.product((0, 1), repeat=n)
             ]
+            partitions = {known: _known_groups(known, observations) for known in known_sets}
             for known, block in queries:
                 cases += 1
-                failure = _routes_disagree(
-                    code, known, block, _grouped_tallies(known, block, observations)
-                )
+                tallies = _grouped_tallies(block, partitions[known])
+                failure = _routes_disagree(code, known, block, tallies)
                 if failure is not None:
                     return _done("lemma3", cases, failure)
 

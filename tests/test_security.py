@@ -7,6 +7,7 @@ small sweep, independent of the verify module's suites.
 """
 
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -191,6 +192,89 @@ class TestOracle:
                 for x, s in observations
             )
             assert algebraic == oracle
+
+
+def single_walk_entropy(code, query, known_values, broadcast):
+    """Reference oracle: one walk over every vector of the free messages,
+    block and rest together, tallying the block values of each match."""
+    field, q = code.field, code.field.q
+    n, k = code.length, code.dimension
+    gen = code.generator.entries
+    columns = [tuple(gen[r][j] for r in range(k)) for j in range(n)]
+    target = list(broadcast.entries)
+    for i, v in known_values.items():
+        for r in range(k):
+            target[r] = field.sub(target[r], field.mul(v, columns[i - 1][r]))
+    target_key = tuple(target)
+    free = sorted(query.block | query.rest)
+    block_weights = [q ** free.index(i) for i in sorted(query.block)]
+    counts = {}
+    for index, value in enumerate(code_module.iterate_span(field, [columns[j - 1] for j in free])):
+        if value == target_key:
+            key = tuple(index // w % q for w in block_weights)
+            counts[key] = counts.get(key, 0) + 1
+    total = sum(counts.values())
+    if total == 0:
+        raise InconsistentObservationError("no message vector matches the observation")
+    uniform = len(counts) == q ** len(query.block) and len(set(counts.values())) == 1
+    bits = math.log2(total) - sum(c * math.log2(c) for c in counts.values()) / total
+    return security_module.BlockEntropy(bits=bits, uniform=uniform, counts=counts)
+
+
+class TestOracleAgainstSingleWalk:
+    """The oracle walks rest and block apart; the reference walks every free
+    vector at once. Per field, 200 seeded queries with n <= 6 and at most
+    about 2^11 free vectors, including empty rests, k = n, and observations
+    that match no message vector (a random broadcast where the free columns
+    do not span F_q^k)."""
+
+    @pytest.mark.parametrize("field", [F2, F3, Field(2, 2), Field(3, 2), Field(5)],
+                             ids=["F2", "F3", "GF4", "GF9", "F5"])
+    def test_matches_reference(self, field):
+        q = field.q
+        rng = Rng(31 * q)
+        seen = Counter()
+        for case in range(200):
+            n = 1 + rng.below(6)
+            k = n if case % 5 == 0 else 1 + rng.below(max(1, n - 1))
+            while True:
+                try:
+                    code = LinearCode(Matrix(field, tuple(
+                        tuple(rng.below(q) for _ in range(n)) for _ in range(k)
+                    )))
+                except ZeroCodeError:
+                    continue
+                if code.dimension == k:
+                    break
+            free = min(n, 2 + rng.below(n))
+            while q ** free > 2048:
+                free -= 1
+            universe = tuple(range(1, n + 1))
+            unknown = rng.subset(universe, free)
+            known = frozenset(universe) - frozenset(unknown)
+            size = free if case % 4 == 1 else 1 + rng.below(max(1, free - 1))
+            block = frozenset(rng.subset(tuple(unknown), size))
+            query = SecurityQuery(n, known, block)
+            x = tuple(rng.below(q) for _ in range(n))
+            if rng.below(3) == 0:
+                broadcast = Vector(field, tuple(rng.below(q) for _ in range(k)))
+            else:
+                broadcast = broadcast_of(code, x)
+            known_values = {i: x[i - 1] for i in known}
+            seen["empty rest"] += not query.rest
+            seen["k = n"] += k == n
+            try:
+                expected = single_walk_entropy(code, query, known_values, broadcast)
+            except InconsistentObservationError:
+                seen["inconsistent"] += 1
+                with pytest.raises(InconsistentObservationError):
+                    conditional_block_entropy(code, query, known_values, broadcast)
+                continue
+            entropy = conditional_block_entropy(code, query, known_values, broadcast)
+            assert entropy.counts == expected.counts
+            assert entropy.uniform == expected.uniform
+            assert entropy.bits == pytest.approx(expected.bits)
+        assert min(seen[c] for c in ("empty rest", "k = n", "inconsistent")) > 0, seen
 
 
 class TestBlockSecurityLevel:

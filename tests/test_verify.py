@@ -94,21 +94,32 @@ def test_exhaustive_codes_match_the_product_walk(n):
 
 
 def test_grouped_tallies_match_the_oracle():
-    # Every exhaustive-half code with n <= 3, every query and every x.
+    # Every exhaustive-half code with n <= 3, every known set and query, and
+    # every member of every group: the groups partition the xs, each in
+    # order, and each member's oracle table is its group's table.
     for n in (1, 2, 3):
         for code in verify_module._exhaustive_codes(n):
             xs = list(itertools.product((0, 1), repeat=n))
-            broadcasts = [verify_module._broadcast(code, x) for x in xs]
-            observations = [(x, s.entries) for x, s in zip(xs, broadcasts)]
+            broadcasts = {x: verify_module._broadcast(code, x) for x in xs}
+            observations = [(x, broadcasts[x].entries) for x in xs]
+            partitions = {}
             for known, block in verify_module._all_queries(n):
-                tallies = verify_module._grouped_tallies(known, block, observations)
-                assert [x for x, _ in tallies] == xs
+                if known not in partitions:
+                    groups = verify_module._known_groups(known, observations)
+                    assert sorted(x for group in groups for x in group) == xs
+                    assert all(group == sorted(group) for group in groups)
+                    assert [group[0] for group in groups] == sorted(group[0] for group in groups)
+                    partitions[known] = groups
+                groups = partitions[known]
+                tallies = verify_module._grouped_tallies(block, groups)
+                assert [x for x, _ in tallies] == [group[0] for group in groups]
                 query = SecurityQuery(n, known, block)
-                for (x, counts), s in zip(tallies, broadcasts):
-                    entropy = conditional_block_entropy(
-                        code, query, {i: x[i - 1] for i in known}, s
-                    )
-                    assert counts == entropy.counts
+                for group, (_, counts) in zip(groups, tallies):
+                    for x in group:
+                        entropy = conditional_block_entropy(
+                            code, query, {i: x[i - 1] for i in known}, broadcasts[x]
+                        )
+                        assert counts == entropy.counts
 
 
 def test_unknown_suite_rejected():
