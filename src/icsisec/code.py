@@ -678,18 +678,10 @@ def oa_tuple_counts(code: LinearCode, positions: Iterable[int]) -> dict[tuple[in
             raise IndexOutOfRangeError(f"column {j} outside [1, {code.length}]")
     q = code.field.q
     _guard(f"table of q^r = {q}^{len(cols)} value tuples", q ** len(cols), MAX_SPACE)
-    return _count_tuples(code.codewords(), q, cols)
-
-
-def _count_tuples(
-    words: Iterable[tuple[int, ...]], q: int, cols: Sequence[int]
-) -> dict[tuple[int, ...], int]:
-    """Value-tuple counts of `words` at the ascending 1-based columns `cols`,
-    with every one of the q^|cols| tuples present (0 when it never appears)."""
     counts: dict[tuple[int, ...], int] = dict.fromkeys(
         itertools.product(range(q), repeat=len(cols)), 0
     )
-    tally = Counter(map(itemgetter(*(j - 1 for j in cols)), words))
+    tally = Counter(map(itemgetter(*(j - 1 for j in cols)), code.codewords()))
     if len(cols) == 1:
         # itemgetter with one index returns the bare value, not a 1-tuple.
         tally = {(v,): c for v, c in tally.items()}

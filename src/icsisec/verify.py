@@ -13,13 +13,20 @@ names thm1 .. thm4 and lemma3):
           reduces every known set (on the corpus, and on a binary [16, 8]
           probe past the report scan's budget), and per-code distance
           claims
-  thm2    orthogonal-array counts in every <= d_dual - 1 column set
+  thm2    orthogonal-array counts in every <= d_dual - 1 column set,
+          from one walk over the codewords per code: each column is
+          packed into one int with a 1-, 2- or 4-byte cell per word, a
+          column set's key is key * q + column over its columns, and one
+          Counter over the key's cells tallies its value tuples as base-q
+          numbers
   lemma3  algebraic no-information test against brute force: every
           binary instance with n <= 4 and up to 3 receivers, each distinct
           code's message vectors grouped once per known set by what that
           adversary observes and checked per query by one tally per
           group, then 1000 seeded random instances against the public
-          conditional_block_entropy oracle
+          conditional_block_entropy oracle; the walk over instances stops
+          at its last new code, the closed-form count of subspaces of
+          F_2^n of dimension 1 .. 3
   thm3    distance-derived security floors, weight witnesses, list attacks
           with their size, membership, strictly increasing order, and
           first and last entries consistent with the observation, and the
@@ -44,6 +51,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,7 +65,6 @@ from .code import (
     MacWilliamsError,
     TooLargeToEnumerateError,
     ZeroCodeError,
-    _count_tuples,
     _dual_first_hits,
     _first_of_each_weight,
     _macwilliams,
@@ -336,27 +344,65 @@ def _suite_singleton(seed: int, corpus: tuple[CorpusEntry, ...]) -> SuiteResult:
     return _done("thm1", cases, None)
 
 
+# The array formats of the 1-, 2- and 4-byte cells thm2 packs its keys in.
+_CELL_FORMATS = {1: "B", 2: "H", 4: "I"}
+
+
+def _packed_columns(words, q: int, width: int) -> list[int]:
+    """Each column of `words` as one int with a `width`-byte cell per word,
+    in sys.byteorder: the cells of a column set's key, key * q + column
+    over its columns, then hold its value tuples read as base-q numbers,
+    with no carry from one cell into the next while q^r fits a cell."""
+    little = sys.byteorder == "little"
+    planes = ((q - 1).bit_length() + 7) // 8
+    packed = []
+    for column in zip(*words):
+        cells = bytearray(len(column) * width)
+        for b in range(planes):
+            start = b if little else width - 1 - b
+            cells[start::width] = (
+                bytes(column) if planes == 1 else bytes([v >> 8 * b & 255 for v in column])
+            )
+        packed.append(int.from_bytes(cells, sys.byteorder))
+    return packed
+
+
 def _suite_orthogonal_array(seed: int, corpus: tuple[CorpusEntry, ...]) -> SuiteResult:
     cases = 0
     for entry in corpus:
         code = entry.code
         n, k, q = code.length, code.dimension, code.field.q
         strength = min(code.dual_distance - 1, n)
-        # One walk per code fills every column subset's table.
+        # One walk per code; its columns are packed once per cell width.
         words = tuple(code.codewords()) if strength else ()
+        packed: dict[int, list[int]] = {}
         for r in range(1, strength + 1):
-            if q ** r > MAX_SPACE:
+            space = q ** r
+            if space > MAX_SPACE:
                 break
             expected = q ** (k - r)
+            width = 1 if space <= 1 << 8 else 2 if space <= 1 << 16 else 4
+            if width not in packed:
+                packed[width] = _packed_columns(words, q, width)
+            columns, size, fmt = packed[width], len(words) * width, _CELL_FORMATS[width]
             for positions in itertools.combinations(range(1, n + 1), r):
-                counts = _count_tuples(words, q, positions)
+                key = 0
+                for j in positions:
+                    key = key * q + columns[j - 1]
+                tally = Counter(memoryview(key.to_bytes(size, sys.byteorder)).cast(fmt))
                 cases += 1
-                bad = next((t for t, c in sorted(counts.items()) if c != expected), None)
-                if bad is not None:
-                    return _done("thm2", cases, {
-                        "code": entry.name, "columns": list(positions),
-                        "tuple": list(bad), "count": counts[bad], "expected": expected,
-                    })
+                if len(tally) == space and set(tally.values()) == {expected}:
+                    continue
+                # The first tuple, in lexicographic order, whose count is off.
+                first = next(t for t in range(space) if tally[t] != expected)
+                bad, value = [], first
+                for _ in range(r):
+                    value, digit = divmod(value, q)
+                    bad.append(digit)
+                return _done("thm2", cases, {
+                    "code": entry.name, "columns": list(positions),
+                    "tuple": bad[::-1], "count": tally[first], "expected": expected,
+                })
     return _done("thm2", cases, None)
 
 
@@ -429,6 +475,17 @@ def _grouped_tallies(block, groups) -> list[tuple[tuple[int, ...], dict]]:
     return tallies
 
 
+def _binary_subspaces(n: int, top: int) -> int:
+    """How many subspaces of F_2^n have dimension 1 .. top: the sum of the
+    Gaussian binomials [n d]_2, each from the last by
+    [n d] = [n d-1] (2^(n-d+1) - 1) / (2^d - 1)."""
+    total, term = 0, 1
+    for d in range(1, min(top, n) + 1):
+        term = term * ((1 << (n - d + 1)) - 1) // ((1 << d) - 1)
+        total += term
+    return total
+
+
 def _exhaustive_codes(n: int):
     """Distinct broadcast codes of binary instances with n messages and up
     to 3 receivers, under the indicator then the zero policy, in the order a
@@ -437,7 +494,10 @@ def _exhaustive_codes(n: int):
     rows, and one whose side information holds its demand has no row, so
     the walk runs over the distinct pairs alone. Distinct instances
     overwhelmingly share their code, so row sets are deduplicated first and
-    reduced generators second."""
+    reduced generators second. The indicator policy gives every nonzero
+    mask as a row, so every subspace of dimension 1 .. min(3, n) turns up,
+    and the walk stops at the last of them, the count _binary_subspaces
+    gives in closed form (1, 4, 15, 65 for n = 1 .. 4)."""
     f2 = Field(2)
     pairs = [
         (mask | 1 << f, 1 << f)
@@ -447,6 +507,7 @@ def _exhaustive_codes(n: int):
     ]
     seen_rowsets: set[frozenset[int]] = set()
     swept: set[tuple] = set()
+    total = _binary_subspaces(n, 3)
     for m in range(1, 4):
         for combo in itertools.product(pairs, repeat=m):
             for policy in (0, 1):
@@ -461,6 +522,8 @@ def _exhaustive_codes(n: int):
                 if code.generator.entries not in swept:
                     swept.add(code.generator.entries)
                     yield code
+                    if len(swept) == total:
+                        return
 
 
 def _suite_oracle_equivalence(seed: int, corpus: tuple[CorpusEntry, ...]) -> SuiteResult:

@@ -7,6 +7,8 @@ runtime near a single pass over SUITE_NAMES.
 
 import itertools
 import json
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -91,6 +93,145 @@ def test_exhaustive_codes_match_the_product_walk(n):
     swept = [code.generator.entries for code in verify_module._exhaustive_codes(n)]
     assert swept == _product_walk_keys(n)
     assert len(swept) == {1: 1, 2: 4, 3: 15, 4: 65}[n]
+
+
+def _pair_walk_builds(n):
+    """The exhaustive half's walk over distinct receiver row pairs without
+    its early stop: how many codes it builds in all, and how many it has
+    built when the last new code appears."""
+    f2 = Field(2)
+    pairs = [(mask | 1 << f, 1 << f) for f in range(n) for mask in range(1 << n) if not mask >> f & 1]
+    seen_rowsets, swept = set(), set()
+    builds = last_new = 0
+    for m in range(1, 4):
+        for combo in itertools.product(pairs, repeat=m):
+            for policy in (0, 1):
+                masks = frozenset(pair[policy] for pair in combo)
+                if masks in seen_rowsets:
+                    continue
+                seen_rowsets.add(masks)
+                builds += 1
+                code = LinearCode.from_rows([
+                    Vector(f2, tuple(mask >> j & 1 for j in range(n))) for mask in sorted(masks)
+                ])
+                if code.generator.entries not in swept:
+                    swept.add(code.generator.entries)
+                    last_new = builds
+    return builds, last_new
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_exhaustive_codes_stop_at_the_last_new_code(monkeypatch, n):
+    # The closed-form subspace count is the product walk's code count
+    # (pinned above), and the walk builds no code past the one reaching it.
+    assert verify_module._binary_subspaces(n, 3) == {1: 1, 2: 4, 3: 15, 4: 65}[n]
+    total_builds, last_new = _pair_walk_builds(n)
+    builds = []
+    from_rows = LinearCode.from_rows
+
+    def counted(rows):
+        builds.append(None)
+        return from_rows(rows)
+
+    monkeypatch.setattr(LinearCode, "from_rows", staticmethod(counted))
+    codes = list(verify_module._exhaustive_codes(n))
+    assert len(codes) == verify_module._binary_subspaces(n, 3)
+    assert len(builds) == last_new
+    if n == 4:
+        assert last_new < total_builds
+
+
+def _tuple_counter_thm2(corpus):
+    """thm2 as it counted before its keys were packed: one value tuple per
+    codeword per column set, tallied by a Counter into a table holding all
+    q^r tuples, the first off count found in sorted tuple order."""
+    cases = 0
+    for entry in corpus:
+        code = entry.code
+        n, k, q = code.length, code.dimension, code.field.q
+        strength = min(code.dual_distance - 1, n)
+        words = tuple(code.codewords()) if strength else ()
+        for r in range(1, strength + 1):
+            if q ** r > code_module.MAX_SPACE:
+                break
+            expected = q ** (k - r)
+            for positions in itertools.combinations(range(1, n + 1), r):
+                counts = dict.fromkeys(itertools.product(range(q), repeat=r), 0)
+                counts.update(Counter(tuple(w[j - 1] for j in positions) for w in words))
+                cases += 1
+                bad = next((t for t, c in sorted(counts.items()) if c != expected), None)
+                if bad is not None:
+                    return cases, ({
+                        "code": entry.name, "columns": list(positions),
+                        "tuple": list(bad), "count": counts[bad], "expected": expected,
+                    },)
+    return cases, ()
+
+
+def _overstated_corpus():
+    """Seeded random codes over F2, F3, GF(4), GF(8) and F17, and a [3, 1]
+    code over F257, each with its cached dual distance overstated by 1 or 2
+    (up to n + 1): thm2 then checks column sets the code's counts fail."""
+    rng = verify_module.Rng(7)
+    entries = []
+    for field, words in ((Field(2), 256), (Field(3), 243), (Field(2, 2), 256), (Field(2, 3), 512), (Field(17), 289)):
+        while sum(e.code.field == field for e in entries) < 6:
+            n = 3 + rng.below(4)
+            k = 1 + rng.below(n)
+            if field.q ** k > words:
+                continue
+            rows = tuple(tuple(rng.below(field.q) for _ in range(n)) for _ in range(k))
+            try:
+                code = LinearCode.from_rows([Vector(field, row) for row in rows])
+            except code_module.ZeroCodeError:
+                continue
+            entries.append(CorpusEntry(f"over{len(entries):02d}", code, {}))
+    entries.append(CorpusEntry("f257", LinearCode.from_rows([Vector(Field(257), (1, 2, 3))]), {}))
+    for i, entry in enumerate(entries):
+        code = entry.code
+        code.__dict__["dual_distance"] = min(code.dual_distance + 1 + i % 2, code.length + 1)
+    return tuple(entries)
+
+
+def _swapped_pair_entry():
+    """The words of an MDS [3, 2] code over F17 with the second values of
+    two words swapped: every column still holds each value 17 times, so
+    r = 1 passes, and the first off pair is neither zero nor one digit."""
+    f17 = Field(17)
+    words = list(LinearCode.from_rows([Vector(f17, (1, 0, 1)), Vector(f17, (0, 1, 1))]).codewords())
+    a, b = words.index((3, 5, 8)), words.index((2, 9, 11))
+    words[a], words[b] = (3, 9, 8), (2, 5, 11)
+    stub = SimpleNamespace(length=3, dimension=2, field=f17, dual_distance=3, codewords=lambda: iter(words))
+    return CorpusEntry("swapped", stub, {})
+
+
+def test_packed_thm2_matches_the_tuple_counter_route(monkeypatch):
+    corpus = _overstated_corpus()
+    widths = set()
+    packed_columns = verify_module._packed_columns
+
+    def recorded(words, q, width):
+        widths.add((q, width))
+        return packed_columns(words, q, width)
+
+    monkeypatch.setattr(verify_module, "_packed_columns", recorded)
+    failures = 0
+    for entry in corpus:
+        packed = verify_module._suite_orthogonal_array(0, (entry,))
+        assert (packed.cases, packed.failures) == _tuple_counter_thm2((entry,))
+        failures += not packed.ok
+    assert failures >= len(corpus) // 2
+    # Two-byte cells (F17 at r = 2, F257 at r = 1, two bytes per value)
+    # and four-byte cells (F257 at r = 2) are both reached.
+    assert {(17, 2), (257, 2), (257, 4)} <= widths
+    swapped = _swapped_pair_entry()
+    result = verify_module._suite_orthogonal_array(0, (swapped,))
+    assert (result.cases, result.failures) == _tuple_counter_thm2((swapped,))
+    assert result.failures == ({
+        "code": "swapped", "columns": [1, 2], "tuple": [2, 5], "count": 2, "expected": 1,
+    },)
+    whole = verify_module._suite_orthogonal_array(0, corpus)
+    assert (whole.cases, whole.failures) == _tuple_counter_thm2(corpus)
 
 
 def test_grouped_tallies_match_the_oracle():
