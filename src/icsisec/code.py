@@ -20,9 +20,10 @@ MacWilliams identity, in exact integer arithmetic; the dual code itself
 where the transform is cross-checked; its generator is read from
 [I | A] and reduced once. The walk of the dual, _dual_first_hits, lives
 next to the code's and gives the security report its counterexample
-known sets past the known-set scan's budget; it stops at the first
-complete stage that holds a word of weight d_dual, and checks its budget
-at each stage boundary.
+known sets past the known-set scan's budget. It walks one stage per
+dual row, the same loop over every field, checks its budget before each
+stage, and stops after the first stage that holds a word of weight
+d_dual.
 
 Every exponential loop of the package is checked by the one helper
 _guard against its budget: MAX_ENUMERATION (2^24) for codewords and
@@ -41,7 +42,7 @@ import itertools
 from collections import Counter
 from functools import cached_property
 from math import comb
-from operator import itemgetter, xor
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
@@ -152,43 +153,26 @@ def _pack_bits(row: Sequence[int]) -> int:
     return int("".join(map(str, row)), 2)
 
 
-def _binary_span(rows: Sequence[int]) -> Iterator[int]:
-    """Yield the span of binary rows packed by _pack_bits, in iterate_span's
-    order (each word once when the rows are independent): word i is the
-    XOR of the rows at the 1 bits of i, row 0 the lowest. Stepping
-    i - 1 -> i flips digits 0..d, d = ctz(i), so each step XORs one prefix
-    r_0 ^ ... ^ r_d. No rows yields only 0."""
-    prefixes = list(itertools.accumulate(rows, xor))
-    word = 0
-    yield word
-    for i in range(1, 1 << len(rows)):
-        word ^= prefixes[(i & -i).bit_length() - 1]
-        yield word
-
-
-def _binary_blocks(rows: Sequence[int], staged: bool = False) -> Iterator[list[int]]:
-    """The words of _binary_span(rows), in its order, as consecutive lists:
-    the span of the first L = min(k, BLOCK_ROWS) rows, a low block of 2^L
-    words built by doubling, then the low block XORed with each further
-    word of _binary_span(rows[L:]). A block is one comprehension, and its
-    weights can be counted in C. When `staged`, the low block comes as
-    [0] and then, for each of its rows r, the words w ^ r for w in
-    everything before (words 2^m..2^(m+1) - 1 for row m), each list
-    built only when it is drawn."""
+def _binary_blocks(rows: Sequence[int]) -> Iterator[list[int]]:
+    """The span of binary rows packed by _pack_bits, in iterate_span's
+    order (each word once when the rows are independent), as consecutive
+    lists: word i is the XOR of the rows at the 1 bits of i, row 0 the
+    lowest. First the low block, the 2^L words of the first
+    L = min(k, BLOCK_ROWS) rows, built by doubling; then, for each further
+    word `top` of the span of rows[L:], itself built by doubling, the block
+    top ^ w for w in the low block, built only when it is drawn. A block
+    is one comprehension, and its weights can be counted in C. No rows
+    yields [0]."""
     low = [0]
-    if staged:
-        yield low[:]
     for row in rows[:BLOCK_ROWS]:
-        added = [w ^ row for w in low]
-        if staged:
-            yield added
-        low += added
-    if not staged:
-        yield low
-    high = _binary_span(rows[BLOCK_ROWS:])
-    next(high)
-    for hi in high:
-        yield [hi ^ lo for lo in low]
+        low += [w ^ row for w in low]
+    yield low
+    high = [0]
+    for row in rows[BLOCK_ROWS:]:
+        added = [top ^ row for top in high]
+        for top in added:
+            yield [top ^ w for w in low]
+        high += added
 
 
 def _fiber_roots(field: Field, r0: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
@@ -276,22 +260,20 @@ def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
     stage is complete, each t answered so far has its final answer, and
     every t <= n - d_dual is answered once a word of weight d_dual has
     come. The walk stops after the first complete stage that holds one,
-    d_dual read from code.dual_distance. It guards itself at each stage
-    boundary: before stage m it counts the q^(m+1) words through that
-    stage's end against MAX_ENUMERATION, so it never walks more than 2^24
-    words, however many the dual has, and a refusal names the stage.
+    d_dual read from code.dual_distance. It guards itself before each
+    stage m >= 1, counting the q^(m+1) words through that stage's end
+    against MAX_ENUMERATION, so it never walks more than 2^24 words,
+    however many the dual has, and a refusal names the stage.
 
     Over F2 a dual word packs into the same layout, so its zero mask is
     the complement and the largest mask is the smallest word. The words
-    come in _binary_blocks' staged lists: stage m is the list of row m
-    for m < L = min(n - k, BLOCK_ROWS), and stage m >= L the blocks of
-    the high words h = 2^(m-L) .. 2^(m-L+1) - 1 of _binary_span(rows[L:]),
-    so it ends with the block of an h where h + 1 is a power of 2. Each
-    list gives only its frontier: its
+    come from _binary_blocks: stage m is the slice 2^m .. 2^(m+1) - 1 of
+    the low block for m < L = min(n - k, BLOCK_ROWS), and the next
+    2^(m-L) blocks for m >= L. Each list gives only its frontier: its
     smallest word, then the smallest of lower weight, and so on. Over
     larger fields the walk runs over fibers b + c*S_0 as _walk_spectrum
-    does, b walking the span of S_1.., and a stage ends after the fibers
-    of the first q^m values of b, for each m.
+    does, b walking the span of S_1..: stage 0 is the fiber of b = 0, and
+    stage m >= 1 the next (q - 1) q^(m-1) fibers.
     """
     n = code.length
     field = code.field
@@ -300,44 +282,43 @@ def _dual_first_hits(code: LinearCode) -> list[tuple[int, ...]]:
     stop = n - code.dual_distance
     best = [-1] * (n + 1)
     loop = f"walk of q^(n-k) = {q}^{len(rows)} dual codewords, through stage"
-    stage = 0
     if q == 2:
         full = (1 << n) - 1
-        blocks = _binary_blocks([_pack_bits(row) for row in rows], staged=True)
-        next(blocks)  # The zero word.
-        # high <= 0 for the low block's lists, else the high word's index.
-        for high, words in enumerate(blocks, 1 - min(len(rows), BLOCK_ROWS)):
-            while words:
-                word = min(words)
-                w = word.bit_count()
-                mask = full ^ word
-                if mask > best[n - w]:
-                    best[n - w] = mask
-                words = [x for x in words if x.bit_count() < w]
-            if high <= 0 or not high & (high + 1):
-                if best[stop] >= 0:
-                    break
-                stage += 1
-                _guard(f"{loop} {stage}", q ** (stage + 1))
+        blocks = _binary_blocks([_pack_bits(row) for row in rows])
+        low = next(blocks)
+        size = min(len(rows), BLOCK_ROWS)
     else:
         h0 = rows[0]
         roots = [(j, root, 1 << (n - 1 - j)) for j, root in _fiber_roots(field, h0)]
         fixed = [(j, 1 << (n - 1 - j)) for j in range(n) if not h0[j]]
-        stage_end = 1
-        for walked, b in enumerate(iterate_span(field, rows[1:], n), 1):
-            masks = [sum(bit for j, bit in fixed if not b[j])] * q
-            for j, root, bit in roots:
-                masks[root[b[j]]] |= bit
-            for mask in masks:
-                zeros = mask.bit_count()
-                if mask > best[zeros]:
-                    best[zeros] = mask
-            if walked == stage_end:
-                if best[stop] >= 0:
-                    break
-                stage += 1
-                stage_end *= q
-                _guard(f"{loop} {stage}", q ** (stage + 1))
+        fibers = iterate_span(field, rows[1:], n)
+    for stage in range(len(rows)):
+        if stage:
+            _guard(f"{loop} {stage}", q ** (stage + 1))
+        if q == 2:
+            if stage < size:
+                lists = [low[1 << stage:2 << stage]]
+            else:
+                lists = itertools.islice(blocks, 1 << (stage - size))
+            for words in lists:
+                while words:
+                    word = min(words)
+                    w = word.bit_count()
+                    mask = full ^ word
+                    if mask > best[n - w]:
+                        best[n - w] = mask
+                    words = [x for x in words if x.bit_count() < w]
+        else:
+            for b in itertools.islice(fibers, (q - 1) * q ** (stage - 1) if stage else 1):
+                masks = [sum(bit for j, bit in fixed if not b[j])] * q
+                for j, root, bit in roots:
+                    masks[root[b[j]]] |= bit
+                for mask in masks:
+                    zeros = mask.bit_count()
+                    if mask > best[zeros]:
+                        best[zeros] = mask
+        if best[stop] >= 0:
+            break
     # best[n] can only be the zero word's; a suffix maximum over the rest
     # gives each t.
     hits = []
@@ -525,17 +506,6 @@ class LinearCode:
         p1, p2 = pivots
         points = [(b[p1], b[p2]) for b in inverse]
         return _independent_points(field, points) and _independent_points(field, zip(*rows[:2]))
-
-    def _certified_mds(self) -> bool:
-        """Whether every k columns of the generator are independent, which
-        holds exactly for MDS codes (MacWilliams & Sloane, ch. 11): the
-        pre-filter, then one rank query per k-column set, stopping at the
-        first that fails."""
-        n, k = self.length, self.dimension
-        return self._mds_prefilter() and all(
-            self.rank_of_columns(cols) == k
-            for cols in itertools.combinations(range(1, n + 1), k)
-        )
 
     @cached_property
     def _spectrum(self) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:

@@ -37,15 +37,15 @@ A report counterexample has one definition at every n: the first
 strength-t known set, in combinations order, that leaves an index hidden.
 Below t = n - k it is {1..t}. The strengths from n - k to the threshold
 are found by the known-set scan, one rank query per set, while it fits
-SCAN_BUDGET sets, and by one walk of the dual (code._dual_first_hits)
-otherwise. Every hidden index, of a prefix, a scanned set or a walked
-one, follows by duality from one reduction: the one with nothing known,
-whose pivots are the right-greedy basis of the column matroid
-(_first_counterexamples). thm1 checks the report's counterexamples, and
-the walk's known sets, against a scan that runs the attack's reduction
-on every known set (_complete_insecurity_exhaustive), which no report
-calls. Every refusal goes through code._guard and names its loop, size
-and limit.
+SCAN_BUDGET sets, and otherwise by one walk of the dual, stage by stage
+(code._dual_first_hits). Every hidden index, of a prefix, a scanned set
+or a walked one, follows by duality from one reduction: the one with
+nothing known, whose pivots are the right-greedy basis of the column
+matroid (_first_counterexamples). thm1 checks the report's
+counterexamples, and the walk's known sets, against a scan that runs the
+attack's reduction on every known set (verify's
+_complete_insecurity_exhaustive), which no report calls. Every refusal
+goes through code._guard and names its loop, size and limit.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .algebra import (
     DimensionMismatchError,
@@ -591,29 +591,6 @@ class SecurityReport:
     mode: str
     seed: int
     strengths: tuple[StrengthVerdict, ...]
-
-
-def _counterexample(code: LinearCode, known: Iterable[int]) -> Optional[RecoveryCounterexample]:
-    """The known set with the first index it leaves hidden; None when it
-    leaves none. Which indices stay hidden does not depend on the observed
-    values, so a zero observation stands in."""
-    zero = Vector.zero(code.field, code.dimension)
-    hidden = _attack(code, dict.fromkeys(known, 0), zero).resisted
-    return RecoveryCounterexample(frozenset(known), hidden[0]) if hidden else None
-
-
-def _complete_insecurity_exhaustive(
-    code: LinearCode, strength: int
-) -> Optional[RecoveryCounterexample]:
-    """The first strength-t known set, in combinations order, that leaves an
-    index hidden, with its first hidden index; None when there is none.
-    One attack reduction per known set: thm1's slow reference for the
-    report's counterexamples, which no report calls."""
-    for known in itertools.combinations(range(1, code.length + 1), strength):
-        found = _counterexample(code, known)
-        if found is not None:
-            return found
-    return None
 
 
 def _right_basis(code: LinearCode) -> frozenset[int]:

@@ -20,13 +20,14 @@ names thm1 .. thm4 and lemma3):
           Counter over the key's cells tallies its value tuples as base-q
           numbers
   lemma3  algebraic no-information test against brute force: every
-          binary instance with n <= 4 and up to 3 receivers, each distinct
-          code's message vectors grouped once per known set by what that
-          adversary observes and checked per query by one tally per
-          group, then 1000 seeded random instances against the public
-          conditional_block_entropy oracle; the walk over instances stops
-          at its last new code, the closed-form count of subspaces of
-          F_2^n of dimension 1 .. 3
+          binary instance with n <= 4 and up to 3 receivers, through their
+          distinct codes, the subspaces of F_2^n of dimension 1 .. 3,
+          each enumerated once as the combination of nonzero masks that
+          is its own reduced generator; each code's message vectors
+          grouped once per known set by what that adversary observes and
+          checked per query by one tally per group; then 1000 seeded
+          random instances against the public conditional_block_entropy
+          oracle
   thm3    distance-derived security floors, weight witnesses, list attacks
           with their size, membership, strictly increasing order, and
           first and last entries consistent with the observation, and the
@@ -54,7 +55,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .algebra import Field, Matrix, Vector
 from .code import (
@@ -84,9 +85,10 @@ from .security import (
     AttackOutcome,
     ListTooLargeError,
     RankDeficientError,
+    RecoveryCounterexample,
     SecurityQuery,
+    _attack,
     _candidate_text,
-    _complete_insecurity_exhaustive,
     _first_counterexamples,
     block_security_level,
     complete_insecurity_attack,
@@ -230,6 +232,41 @@ def _macwilliams_mismatch(code: LinearCode) -> Optional[dict]:
     return None
 
 
+def _certified_mds(code: LinearCode) -> bool:
+    """Whether every k columns of the generator are independent, which
+    holds exactly for MDS codes (MacWilliams & Sloane, ch. 11): the
+    pre-filter, then one rank query per k-column set, stopping at the
+    first that fails."""
+    n, k = code.length, code.dimension
+    return code._mds_prefilter() and all(
+        code.rank_of_columns(cols) == k
+        for cols in itertools.combinations(range(1, n + 1), k)
+    )
+
+
+def _counterexample(code: LinearCode, known: Iterable[int]) -> Optional[RecoveryCounterexample]:
+    """The known set with the first index it leaves hidden; None when it
+    leaves none. Which indices stay hidden does not depend on the observed
+    values, so a zero observation stands in."""
+    zero = Vector.zero(code.field, code.dimension)
+    hidden = _attack(code, dict.fromkeys(known, 0), zero).resisted
+    return RecoveryCounterexample(frozenset(known), hidden[0]) if hidden else None
+
+
+def _complete_insecurity_exhaustive(
+    code: LinearCode, strength: int
+) -> Optional[RecoveryCounterexample]:
+    """The first strength-t known set, in combinations order, that leaves an
+    index hidden, with its first hidden index; None when there is none.
+    One attack reduction per known set: thm1's slow reference for the
+    report's counterexamples, which no report calls."""
+    for known in itertools.combinations(range(1, code.length + 1), strength):
+        found = _counterexample(code, known)
+        if found is not None:
+            return found
+    return None
+
+
 def _spectrum_mismatch(code: LinearCode) -> Optional[dict]:
     """Where the code fits the enumeration guard, check its weight
     distribution and first codeword of each weight, entries and order,
@@ -261,7 +298,7 @@ def _spectrum_mismatch(code: LinearCode) -> Optional[dict]:
                     "walked_first": None if walked is None else [walked[0], list(walked[1])],
                 }
     walked_mds = next(w for w in range(1, n + 1) if counts[w]) == n - k + 1
-    if code._certified_mds() != walked_mds:
+    if _certified_mds(code) != walked_mds:
         return {"check": "mds_certificate", "certified": not walked_mds, "walked_mds": walked_mds}
     if code._grs_certified() and not walked_mds:
         return {"check": "grs_certificate", "certified": True, "walked_mds": False}
@@ -475,55 +512,21 @@ def _grouped_tallies(block, groups) -> list[tuple[tuple[int, ...], dict]]:
     return tallies
 
 
-def _binary_subspaces(n: int, top: int) -> int:
-    """How many subspaces of F_2^n have dimension 1 .. top: the sum of the
-    Gaussian binomials [n d]_2, each from the last by
-    [n d] = [n d-1] (2^(n-d+1) - 1) / (2^d - 1)."""
-    total, term = 0, 1
-    for d in range(1, min(top, n) + 1):
-        term = term * ((1 << (n - d + 1)) - 1) // ((1 << d) - 1)
-        total += term
-    return total
-
-
 def _exhaustive_codes(n: int):
     """Distinct broadcast codes of binary instances with n messages and up
-    to 3 receivers, under the indicator then the zero policy, in the order a
-    product walk over all n * 2^n receivers (demand, then side-information
-    mask) first meets them. A receiver matters only through its pair of
-    rows, and one whose side information holds its demand has no row, so
-    the walk runs over the distinct pairs alone. Distinct instances
-    overwhelmingly share their code, so row sets are deduplicated first and
-    reduced generators second. The indicator policy gives every nonzero
-    mask as a row, so every subspace of dimension 1 .. min(3, n) turns up,
-    and the walk stops at the last of them, the count _binary_subspaces
-    gives in closed form (1, 4, 15, 65 for n = 1 .. 4)."""
+    to 3 receivers, under the indicator or the zero policy: the subspaces
+    of F_2^n of dimension 1 .. min(3, n) (1, 4, 15, 65 for n = 1 .. 4),
+    each once. The indicator policy gives every nonzero mask as a row, and
+    the zero policy only unit rows, so up to 3 rows span exactly these.
+    Each comes from the one combination of at most 3 nonzero masks, in
+    combinations order, that is its own reduced generator."""
     f2 = Field(2)
-    pairs = [
-        (mask | 1 << f, 1 << f)
-        for f in range(n)
-        for mask in range(1 << n)
-        if not mask >> f & 1
-    ]
-    seen_rowsets: set[frozenset[int]] = set()
-    swept: set[tuple] = set()
-    total = _binary_subspaces(n, 3)
     for m in range(1, 4):
-        for combo in itertools.product(pairs, repeat=m):
-            for policy in (0, 1):
-                masks = frozenset(pair[policy] for pair in combo)
-                if masks in seen_rowsets:
-                    continue
-                seen_rowsets.add(masks)
-                code = LinearCode.from_rows([
-                    Vector(f2, tuple(mask >> j & 1 for j in range(n)))
-                    for mask in sorted(masks)
-                ])
-                if code.generator.entries not in swept:
-                    swept.add(code.generator.entries)
-                    yield code
-                    if len(swept) == total:
-                        return
+        for masks in itertools.combinations(range(1, 1 << n), m):
+            rows = tuple(tuple(mask >> j & 1 for j in range(n)) for mask in masks)
+            code = LinearCode(Matrix(f2, rows))
+            if set(code.generator.entries) == set(rows):
+                yield code
 
 
 def _suite_oracle_equivalence(seed: int, corpus: tuple[CorpusEntry, ...]) -> SuiteResult:
@@ -531,10 +534,11 @@ def _suite_oracle_equivalence(seed: int, corpus: tuple[CorpusEntry, ...]) -> Sui
     f2 = Field(2)
 
     # Exhaustive half: every instance with n <= 4 and up to 3 receivers over
-    # F_2, under both default policies; each distinct code is swept once
-    # against all queries. The 2^n message vectors are grouped by each
-    # known set's observation (x_K, Gx) once per code, and per query one
-    # tally per group gives the oracle's count table for all its members.
+    # F_2, under both default policies; each distinct code (a subspace of
+    # dimension 1 .. 3, from _exhaustive_codes) is swept once against all
+    # queries. The 2^n message vectors are grouped by each known set's
+    # observation (x_K, Gx) once per code, and per query one tally per
+    # group gives the oracle's count table for all its members.
     for n in range(1, 5):
         queries = _all_queries(n)
         known_sets = {known for known, _ in queries}

@@ -114,7 +114,7 @@ def test_walk_layout_and_budgets_stay_in_code():
     2^20 and 2^24 budgets are defined only in code.py, next to the one
     guard."""
     internals = {
-        "_binary_span", "_binary_blocks", "_fiber_roots", "_pack_bits", "_walk_spectrum",
+        "_binary_blocks", "_fiber_roots", "_pack_bits", "_walk_spectrum",
         "BLOCK_ROWS", "MAX_ENUMERATION",
     }
     for path in sorted(PACKAGE.glob("*.py")):

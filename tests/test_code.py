@@ -8,7 +8,9 @@ code object's own search paths.
 import itertools
 import random
 from collections import Counter
+from functools import reduce
 from math import comb
+from operator import xor
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -31,6 +33,7 @@ from icsisec.code import (
 )
 from icsisec.rng import Rng
 from icsisec.security import security_report
+from icsisec.verify import _certified_mds
 
 F2 = Field(2)
 F3 = Field(3)
@@ -356,7 +359,7 @@ class TestSpectrumRoutes:
         walked = code_module._walk_spectrum(field, code.generator.entries, n)[0]
         assert code_module._mds_distribution(n, k, field.q) == walked
         assert mds_weight_distribution(n, k, field.q) == walked
-        assert code._certified_mds() and code._grs_certified()
+        assert _certified_mds(code) and code._grs_certified()
 
     def test_failed_certificate_falls_back(self, monkeypatch):
         # Every entry of A = [[1, 1], [1, 1]] is nonzero, so the pre-filter
@@ -390,7 +393,7 @@ class TestSpectrumRoutes:
             tuple(int(i == j) for j in range(4)) + block[i] for i in range(4)
         )))
         assert code._mds_prefilter()
-        assert not code._grs_certified() and not code._certified_mds()
+        assert not code._grs_certified() and not _certified_mds(code)
         assert code.weight_distribution == code_module._walk_spectrum(
             gf16, code.generator.entries, 8
         )[0]
@@ -419,7 +422,7 @@ class TestSpectrumRoutes:
     @given(small_codes((F3, Field(5), Field(7), Field(2, 2), F8, Field(3, 2))))
     def test_grs_test_passes_only_mds_codes(self, code):
         if code._grs_certified():
-            assert code._certified_mds()
+            assert _certified_mds(code)
 
     def test_mds_code_that_is_not_grs_walks(self):
         # An MDS [6, 3] code over F11 whose A has an entrywise inverse of
@@ -428,7 +431,7 @@ class TestSpectrumRoutes:
             (1, 0, 0, 1, 2, 10), (0, 1, 0, 6, 8, 10), (0, 0, 1, 9, 2, 9),
         )))
         assert not code._grs_certified()
-        assert code.is_mds and code._certified_mds()
+        assert code.is_mds and _certified_mds(code)
         assert code._spectrum == code_module._walk_spectrum(code.field, code.generator.entries, 6)
 
     @pytest.mark.parametrize("n,k,field", [
@@ -506,21 +509,27 @@ class TestBinaryWalker:
     # No rows: the span is the zero word alone.
     @example((5, []))
     def test_span_order(self, case):
+        # Two rows to the low block, so that up to 5 more make high blocks.
         n, rows = case
-        walked = list(code_module._binary_span([packed(row) for row in rows]))
-        assert walked == [packed(w) for w in iterate_span(F2, rows, n)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(code_module, "BLOCK_ROWS", 2)
+            blocks = list(code_module._binary_blocks([packed(row) for row in rows]))
+        assert sum(blocks, []) == [packed(w) for w in iterate_span(F2, rows, n)]
 
-    @pytest.mark.parametrize("staged,sizes", [
-        (False, [4] * 8), (True, [1, 1, 2] + [4] * 7),
-    ], ids=["blocks", "staged"])
-    def test_blocks_concatenate_to_the_span(self, staged, sizes, monkeypatch):
+    @pytest.mark.parametrize("block_rows,sizes", [
+        (2, [4] * 8), (12, [32]),
+    ], ids=["blocks", "low-block-only"])
+    def test_blocks_concatenate_to_the_span(self, block_rows, sizes, monkeypatch):
         # With two rows to the low block, five rows make 8 blocks of 4
-        # words; staged, the low block comes as [0] and one list a row.
-        monkeypatch.setattr(code_module, "BLOCK_ROWS", 2)
+        # words; with twelve, one block of 32. Word i is the XOR of the
+        # rows at the 1 bits of i.
+        monkeypatch.setattr(code_module, "BLOCK_ROWS", block_rows)
         rows = [0b110010111, 0b011100001, 0b100000011, 0b111111111, 0b010101010]
-        blocks = list(code_module._binary_blocks(rows, staged))
+        blocks = list(code_module._binary_blocks(rows))
         assert list(map(len, blocks)) == sizes
-        assert sum(blocks, []) == list(code_module._binary_span(rows))
+        assert sum(blocks, []) == [
+            reduce(xor, (row for j, row in enumerate(rows) if i >> j & 1), 0) for i in range(32)
+        ]
 
     @pytest.mark.parametrize("name", BINARY_CODES)
     def test_spectrum(self, name):
@@ -633,13 +642,38 @@ class TestStagedDualWalk:
     def test_binary_walk_stops_after_stage_0(self, monkeypatch):
         # The dual of hamming7 is the [7, 3] simplex code: every nonzero
         # word has weight 4 = d_dual, the last dual row among them. The
-        # walk draws the zero word and stage 0, and none of the other 6.
+        # walk stops after stage 0, having drawn the low block of all 8
+        # words, and no high block.
         code = hamming()
         expected = brute_dual_first_hits(code)
         assert code.dual_distance == 4
         words = count_block_words(monkeypatch)
         assert _dual_first_hits(code) == expected
-        assert words == [2]
+        assert words == [8]
+
+    @pytest.mark.parametrize("block_rows", (1, 2, 3))
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(st.composite(dual_codes)((F2,)))
+    # With one or two rows to the low block, a dual holding a weight-d_dual
+    # word in a high block before a larger mask in a later block of the
+    # same stage: a walk that stopped after that block, and not at the end
+    # of the stage, would miss the larger mask.
+    @example(LinearCode(Matrix(F2, (
+        (0, 1, 0, 1, 0, 0, 0, 1), (0, 0, 1, 1, 0, 0, 1, 1), (0, 0, 0, 0, 1, 1, 1, 1),
+    ))))
+    def test_binary_stages_equal_brute_force(self, block_rows, code):
+        # Few rows to the low block: the dual walk's stages are slices of
+        # it and then runs of high blocks, and the code's walk takes high
+        # blocks too. Hypothesis takes no function-scoped fixture, so the
+        # patch is a context of its own, and the code is built afresh in
+        # it: an explicit example is shared by every block_rows.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(code_module, "BLOCK_ROWS", block_rows)
+            code = LinearCode(code.generator)
+            assert _dual_first_hits(code) == brute_dual_first_hits(code)
+            counts, firsts = plain_spectrum(code)
+            assert code.weight_distribution == counts
+            assert list(code.first_of_weight.items()) == list(firsts.items())
 
     def test_fiber_walk_stops_after_stage_0(self, monkeypatch):
         # The tetracode, [4, 2, 3] over F3, is its own dual, with every

@@ -41,14 +41,20 @@ def test_stress_reports_prints_time_and_digest():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     result = subprocess.run(
-        [sys.executable, str(SCRIPTS / "stress_reports.py"), "2:16:8", "4:6:5:0"],
+        [sys.executable, str(SCRIPTS / "stress_reports.py"), "2:16:8", "4:6:5:0", "2:30:14:5"],
         capture_output=True, text=True, cwd=str(ROOT), env=env,
     )
     assert result.returncode == 0, result.stderr
     # "<field> [n,k] [seed s] <seconds> s  sha256 <digest>", one line a code.
-    first, second = (line.split() for line in result.stdout.splitlines())
+    first, second, third = (line.split() for line in result.stdout.splitlines())
     assert first[:2] == ["F2", "[16,8]"] and float(first[2]) >= 0
     assert first[3:] == [
         "s", "sha256", "a7cfa99ea4420438f3c0c6e22574172d229e134bcbdf1ab013308d8784bf48b6",
     ]
     assert second[:4] == ["GF(4)", "[6,5]", "seed", "0"] and len(second[-1]) == 64
+    # F2 [30,14] seed 5 walks its dual through stage 14, in high blocks,
+    # as its code walk also takes high blocks.
+    assert third[:4] == ["F2", "[30,14]", "seed", "5"]
+    assert third[5:] == [
+        "s", "sha256", "d0374d84b30a679ff68ad592ca443348518247286cef6261bea980d157e4a0fc",
+    ]

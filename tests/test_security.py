@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import icsisec.code as code_module
 import icsisec.security as security_module
+import icsisec.verify as verify_module
 from icsisec.algebra import DimensionMismatchError, Field, Matrix, Vector
 from icsisec.code import LinearCode, TooLargeToEnumerateError, ZeroCodeError, reed_solomon_code
 from icsisec.rng import Rng
@@ -776,12 +777,14 @@ class TestOneCounterexampleDefinition:
 
     def test_reports_take_no_slow_route(self, monkeypatch):
         # The scan's reductions of each known set are thm1's reference
-        # only: every corpus report, scanned or not, runs without them.
+        # only: they live in verify, and every corpus report, scanned or
+        # not, runs without them.
         def refused(*args):
             raise AssertionError("a report reached a slow route")
 
-        monkeypatch.setattr(security_module, "_complete_insecurity_exhaustive", refused)
-        monkeypatch.setattr(security_module, "_counterexample", refused)
+        for name in ("_complete_insecurity_exhaustive", "_counterexample"):
+            assert not hasattr(security_module, name)
+            monkeypatch.setattr(verify_module, name, refused)
         for entry in builtin_corpus(0):
             report = security_report(entry.code)
             assert len(report.strengths) == entry.code.length, entry.name
@@ -793,7 +796,7 @@ class TestOneCounterexampleDefinition:
         walked = security_module._dual_first_hits(code)
         assert len(walked) == threshold
         for t in range(threshold):
-            hit = security_module._complete_insecurity_exhaustive(code, t)
+            hit = verify_module._complete_insecurity_exhaustive(code, t)
             assert walked[t] == tuple(sorted(hit.known)), t
 
     @settings(deadline=None, derandomize=True, max_examples=150)
@@ -831,7 +834,7 @@ class TestOneCounterexampleDefinition:
             assume(False)
         assume(code.dimension < code.length)
         threshold = code.length - code.dual_distance + 1
-        expected = [security_module._complete_insecurity_exhaustive(code, t) for t in range(threshold)]
+        expected = [verify_module._complete_insecurity_exhaustive(code, t) for t in range(threshold)]
         for budget in (security_module.SCAN_BUDGET, 0):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(security_module, "SCAN_BUDGET", budget)

@@ -58,9 +58,10 @@ def test_exhaustive_small_instance_count(all_results):
 
 
 def _product_walk_keys(n):
-    """Generator keys the exhaustive half swept before it walked distinct
-    receiver row pairs: the full product over all n * 2^n receiver indices,
-    with None where a receiver's side information holds its demand."""
+    """Generator keys of the codes the exhaustive half's instances give, in
+    the order a full product over all n * 2^n receiver indices first meets
+    them, with None where a receiver's side information holds its demand:
+    the reference _exhaustive_codes is checked against."""
     f2 = Field(2)
     indicator, zero = [], []
     for f in range(1, n + 1):
@@ -90,55 +91,10 @@ def _product_walk_keys(n):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_exhaustive_codes_match_the_product_walk(n):
+    # The same codes, each once, in combinations order, not the walk's.
     swept = [code.generator.entries for code in verify_module._exhaustive_codes(n)]
-    assert swept == _product_walk_keys(n)
-    assert len(swept) == {1: 1, 2: 4, 3: 15, 4: 65}[n]
-
-
-def _pair_walk_builds(n):
-    """The exhaustive half's walk over distinct receiver row pairs without
-    its early stop: how many codes it builds in all, and how many it has
-    built when the last new code appears."""
-    f2 = Field(2)
-    pairs = [(mask | 1 << f, 1 << f) for f in range(n) for mask in range(1 << n) if not mask >> f & 1]
-    seen_rowsets, swept = set(), set()
-    builds = last_new = 0
-    for m in range(1, 4):
-        for combo in itertools.product(pairs, repeat=m):
-            for policy in (0, 1):
-                masks = frozenset(pair[policy] for pair in combo)
-                if masks in seen_rowsets:
-                    continue
-                seen_rowsets.add(masks)
-                builds += 1
-                code = LinearCode.from_rows([
-                    Vector(f2, tuple(mask >> j & 1 for j in range(n))) for mask in sorted(masks)
-                ])
-                if code.generator.entries not in swept:
-                    swept.add(code.generator.entries)
-                    last_new = builds
-    return builds, last_new
-
-
-@pytest.mark.parametrize("n", (1, 2, 3, 4))
-def test_exhaustive_codes_stop_at_the_last_new_code(monkeypatch, n):
-    # The closed-form subspace count is the product walk's code count
-    # (pinned above), and the walk builds no code past the one reaching it.
-    assert verify_module._binary_subspaces(n, 3) == {1: 1, 2: 4, 3: 15, 4: 65}[n]
-    total_builds, last_new = _pair_walk_builds(n)
-    builds = []
-    from_rows = LinearCode.from_rows
-
-    def counted(rows):
-        builds.append(None)
-        return from_rows(rows)
-
-    monkeypatch.setattr(LinearCode, "from_rows", staticmethod(counted))
-    codes = list(verify_module._exhaustive_codes(n))
-    assert len(codes) == verify_module._binary_subspaces(n, 3)
-    assert len(builds) == last_new
-    if n == 4:
-        assert last_new < total_builds
+    assert len(set(swept)) == len(swept) == {1: 1, 2: 4, 3: 15, 4: 65}[n]
+    assert set(swept) == set(_product_walk_keys(n))
 
 
 def _tuple_counter_thm2(corpus):
@@ -449,7 +405,7 @@ class TestFailureReporting:
     def test_certificate_passing_everything_fails(self, monkeypatch):
         # A certificate that accepts every code: repetition3 is MDS, so the
         # first failure is the first corpus code that is not.
-        monkeypatch.setattr(LinearCode, "_certified_mds", lambda self: True)
+        monkeypatch.setattr(verify_module, "_certified_mds", lambda code: True)
         result = run_suite("thm1")
         assert not result.ok
         failure = result.failures[0]
@@ -557,19 +513,18 @@ class TestFailureReporting:
         assert failure["check"] == "attack_route"
         assert failure["attack"] != failure["confined"]
 
-    # Expected failures were recorded with the product walk and one oracle
-    # walk per observation, before the grouped pass. Calls 1000 and 1003
-    # land in the exhaustive half (a true and a false rank answer), call
-    # 4600 in the random half.
+    # Expected failures were recorded with the exhaustive codes in
+    # combinations order. Calls 1000 and 1022 land in the exhaustive half
+    # (a true and the next false rank answer), call 4600 in the random half.
     @pytest.mark.parametrize(
         "call,failure",
         [
             (1000, {"algebraic": False, "block": [1], "check": "routes_disagree",
-                    "field": {"m": 1, "p": 2}, "generator": [[0, 1, 0, 1]],
+                    "field": {"m": 1, "p": 2}, "generator": [[1, 1, 0, 1]],
                     "known": [4], "oracle": True}),
-            (1003, {"algebraic": True, "block": [4], "check": "routes_disagree",
-                    "field": {"m": 1, "p": 2}, "generator": [[0, 1, 0, 1]],
-                    "known": [2, 3], "oracle": False}),
+            (1022, {"algebraic": True, "block": [4], "check": "routes_disagree",
+                    "field": {"m": 1, "p": 2}, "generator": [[0, 0, 1, 1]],
+                    "known": [1, 2, 3], "oracle": False}),
             (4600, {"algebraic": False, "block": [3], "check": "routes_disagree",
                     "field": {"m": 1, "p": 2}, "generator": [[0, 0, 0, 0, 1]],
                     "known": [4], "oracle": True}),
