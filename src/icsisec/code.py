@@ -582,9 +582,9 @@ class LinearCode:
     def rank_of_columns(self, positions: Iterable[int]) -> int:
         """Rank of the generator submatrix on the given 1-based columns.
 
-        Memoized per column set; the security sweeps ask for heavily
-        overlapping sets, so this turns a 3^n-query sweep into at most 2^n
-        eliminations.
+        Memoized per column set for queries repeated across calls on one
+        code: lemma3's has_no_information queries (15,062 over 5,897 sets
+        at seed 0) and the spanning sweep at successive strengths.
         """
         key = frozenset(positions)
         cached = self._rank_cache.get(key)

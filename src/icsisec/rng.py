@@ -32,16 +32,15 @@ def stream_value(seed: int, index: int) -> int:
 
 
 class Rng:
-    """Sequential view of one splitmix64 stream."""
+    """Sequential view of one splitmix64 stream; draw i is stream_value(seed, i)."""
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        self.index = 0
+        self._state = self.seed
 
     def next_u64(self) -> int:
-        value = stream_value(self.seed, self.index)
-        self.index += 1
-        return value
+        self._state = state = (self._state + _GAMMA) & _MASK64
+        return mix64(state)
 
     def below(self, bound: int) -> int:
         """Uniform draw from [0, bound)."""

@@ -4,20 +4,20 @@ The adversary model: someone who already holds the messages indexed by a
 set of strength t, observes every broadcast symbol, and wants information
 about a disjoint block of messages. Because the broadcast is linear, the
 adversary learns nothing about a block exactly when no codeword vanishes
-outside its known set while touching the block; that is a rank condition
-on generator columns (has_no_information).
+on the rest E, the messages neither known nor in the block, while touching
+the block; that is a rank condition on columns (has_no_information).
 
 The per-strength verdicts of a report come in closed form from the code's
 minimum distance d and dual distance d_dual, which is the production path:
 the largest block size hidden from every strength-t adversary is
 max(0, d - 1 - t), and every index is recovered exactly from strength
 n - d_dual + 1 on (both bounds are tight for linear codes). Two independent
-slow routes answer the same questions and serve as cross-checks: the rank
-sweep block_security_level, and a brute-force oracle that enumerates every
-message vector consistent with the observation and tallies the conditional
-distribution of the block (conditional_block_entropy never looks at
-ranks). All decisions are made on exact integer counts, never on
-floating-point entropy values.
+slow routes answer the same questions and serve as cross-checks: the
+spanning sweep block_security_level, and a brute-force oracle that
+enumerates every message vector consistent with the observation and
+tallies the conditional distribution of the block (conditional_block_entropy
+never looks at ranks). All decisions are made on exact integer counts,
+never on floating-point entropy values.
 
 On top of the verdicts sit the constructive results: witnesses that break
 weak security one strength past the guarantee, the candidate-list attack
@@ -253,30 +253,33 @@ def conditional_block_entropy(
     return BlockEntropy(bits=bits, uniform=uniform, counts=counts)
 
 
+def _all_columns_span(code: LinearCode, size: int) -> bool:
+    """Whether every `size` columns of the generator have rank k, one rank
+    query per column set in combinations order up to the first that fails."""
+    k = code.dimension
+    return all(
+        code.rank_of_columns(cols) == k
+        for cols in itertools.combinations(range(1, code.length + 1), size)
+    )
+
+
 def block_security_level(code: LinearCode, strength: int) -> int:
     """Largest b such that every size-b block is fully hidden from every
     adversary of the given strength; 0 when even single messages leak.
 
-    Exhaustive over all (known set, block) pairs, so guarded to n <= 14.
-    Block security is monotone (a leaking block stays leaky inside any
-    superset), which lets the scan stop at the first failing block size.
+    A spanning sweep, guarded to n <= 14: the blocks outside a rest set E
+    cover every index outside E, so all are hidden exactly when E's columns
+    have rank k. The sweep returns b - 1 at the first b for which some
+    n - t - b columns fall short (b = n - t, E empty, always does).
     """
     n = code.length
     if not 0 <= strength <= n - 1:
         raise ValueError(f"strength must be in [0, {n - 1}], got {strength}")
     _guard("exhaustive rank sweep over n coordinates", n, EXHAUSTIVE_SWEEP_LIMIT)
-    universe = range(1, n + 1)
-    full = frozenset(universe)
-    for b in range(1, n - strength + 1):
-        for known in itertools.combinations(universe, strength):
-            known_set = frozenset(known)
-            rest_pool = sorted(full - known_set)
-            for block in itertools.combinations(rest_pool, b):
-                block_set = frozenset(block)
-                rest = full - known_set - block_set
-                if code.rank_of_columns(rest) != code.rank_of_columns(rest | block_set):
-                    return b - 1
-    return n - strength
+    for b in range(1, n - strength):
+        if not _all_columns_span(code, n - strength - b):
+            return b - 1
+    return n - strength - 1
 
 
 @dataclass(frozen=True)

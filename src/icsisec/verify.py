@@ -87,6 +87,7 @@ from .security import (
     RankDeficientError,
     RecoveryCounterexample,
     SecurityQuery,
+    _all_columns_span,
     _attack,
     _candidate_text,
     _first_counterexamples,
@@ -235,13 +236,8 @@ def _macwilliams_mismatch(code: LinearCode) -> Optional[dict]:
 def _certified_mds(code: LinearCode) -> bool:
     """Whether every k columns of the generator are independent, which
     holds exactly for MDS codes (MacWilliams & Sloane, ch. 11): the
-    pre-filter, then one rank query per k-column set, stopping at the
-    first that fails."""
-    n, k = code.length, code.dimension
-    return code._mds_prefilter() and all(
-        code.rank_of_columns(cols) == k
-        for cols in itertools.combinations(range(1, n + 1), k)
-    )
+    pre-filter, then the spanning sweep's test at size k."""
+    return code._mds_prefilter() and _all_columns_span(code, code.dimension)
 
 
 def _counterexample(code: LinearCode, known: Iterable[int]) -> Optional[RecoveryCounterexample]:
@@ -616,10 +612,11 @@ def _suite_security_thresholds(seed: int, corpus: tuple[CorpusEntry, ...]) -> Su
         d = code.min_distance
         for t in range(max(0, d - 1)):
             cases += 1
-            if block_security_level(code, t) < d - 1 - t:
+            level = block_security_level(code, t)
+            if level < d - 1 - t:
                 return _done("thm3", cases, {
                     "code": entry.name, "check": "guaranteed_floor", "t": t,
-                    "measured": block_security_level(code, t), "floor": d - 1 - t,
+                    "measured": level, "floor": d - 1 - t,
                 })
         distribution = code.weight_distribution
         for w in range(1, n + 1):

@@ -30,6 +30,14 @@ def test_rng_walks_the_stream():
     assert tuple(rng.next_u64() for _ in range(4)) == SEED0_STREAM
 
 
+@given(st.integers(-2 ** 65, 2 ** 65), st.integers(1, 1000))
+def test_running_state_walks_the_counter_stream(seed, bound):
+    rng = Rng(seed)
+    for i in range(50):
+        value = stream_value(seed & (2 ** 64 - 1), i)
+        assert rng.below(bound) == (value * bound) >> 64
+
+
 def test_counter_access_is_stateless():
     assert stream_value(99, 7) == stream_value(99, 7)
     assert stream_value(99, 7) != stream_value(99, 8)

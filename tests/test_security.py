@@ -278,7 +278,64 @@ class TestOracleAgainstSingleWalk:
         assert min(seen[c] for c in ("empty rest", "k = n", "inconsistent")) > 0, seen
 
 
+def pairwise_block_level(code, strength):
+    """Reference for block_security_level from its definition: the largest
+    b such that has_no_information holds for every (known set, block) pair
+    with |known| = strength and |block| = b."""
+    n = code.length
+    universe = range(1, n + 1)
+    for b in range(1, n - strength + 1):
+        for known in itertools.combinations(universe, strength):
+            pool = [j for j in universe if j not in known]
+            for block in itertools.combinations(pool, b):
+                query = SecurityQuery(n, frozenset(known), frozenset(block))
+                if not has_no_information(code, query):
+                    return b - 1
+    return n - strength
+
+
+@st.composite
+def sweep_codes(draw):
+    """A code over F2, F3 or GF(4) with n <= 7, some with a zero column;
+    k = n comes from rows that span the whole space."""
+    field = draw(st.sampled_from((F2, F3, Field(2, 2))))
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, n))
+    rows = [list(draw(st.tuples(*[st.integers(0, field.q - 1)] * n))) for _ in range(k)]
+    zero = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    if zero is not None:
+        for row in rows:
+            row[zero] = 0
+    try:
+        return LinearCode(Matrix(field, tuple(map(tuple, rows))))
+    except ZeroCodeError:
+        assume(False)
+
+
 class TestBlockSecurityLevel:
+    @given(sweep_codes())
+    @example(LinearCode(Matrix(F3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
+    @example(LinearCode(Matrix(Field(2, 2), ((1, 0, 2, 3, 0), (0, 1, 1, 1, 0)))))
+    @settings(max_examples=150, deadline=None)
+    def test_spanning_sweep_matches_pairwise_definition(self, code):
+        for t in range(code.length):
+            assert block_security_level(code, t) == pairwise_block_level(code, t), t
+
+    def test_sweep_asks_each_column_set_once(self, monkeypatch):
+        asked = []
+        original = LinearCode.rank_of_columns
+
+        def counted(self, positions):
+            asked.append(frozenset(positions))
+            return original(self, positions)
+
+        monkeypatch.setattr(LinearCode, "rank_of_columns", counted)
+        for code in (hamming(), reed_solomon_code(7, 3, Field(2, 3))):
+            for t in range(code.length):
+                asked.clear()
+                block_security_level(code, t)
+                assert len(asked) == len(set(asked)), (code.length, code.dimension, t)
+
     def test_hamming_ladder(self):
         code = hamming()
         assert block_security_level(code, 0) == 2
